@@ -57,6 +57,7 @@ from .propagation import (
     frame_transform,
     propagate,
     propagate_coarse,
+    trajectory,
 )
 from .shifts import (
     RatioCheck,

@@ -24,12 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AmplitudePole, ConfigError, ResonantStarkWarning
-from .fidelity import fidelity_series
+from .fidelity import min_fidelity
 from .magnus import h_eff_order2_analytic
 from .model import DriveParams, h_interaction, h_rw_interaction
 from .pauli import PauliCoeffs
-from .propagation import floquet_splitting
+from .propagation import floquet_splitting, trajectory
 from .shifts import (
+    _RESONANCE_TOL,
     bloch_siegert_prime_shift,
     bloch_siegert_shift,
     h_eff_resonant_interaction,
@@ -43,7 +44,6 @@ __all__ = ["ScenarioConfig", "load_config", "main"]
 KNOWN_MODELS = ("exact", "magnus2", "rwa", "rwa_bs", "resonant_magnus")
 RESONANT_ONLY_MODELS = ("resonant_magnus",)
 
-_RESONANCE_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
 
 
@@ -68,7 +68,7 @@ class ScenarioConfig:
 
     @property
     def is_resonant(self) -> bool:
-        return abs(self.delta) < _RESONANCE_TOL
+        return abs(self.delta) < _RESONANCE_TOL  # relative to omega = 1
 
     def drive(self) -> DriveParams:
         return DriveParams(epsilon=self.epsilon, omega=1.0, amplitude=self.amplitude)
@@ -199,22 +199,22 @@ def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
 
 
 def _validate(cfg: ScenarioConfig) -> None:
-    if not cfg.epsilon > 0:
-        raise ConfigError(f"epsilon: must be > 0, got {cfg.epsilon}")
-    if cfg.amplitude < 0:
-        raise ConfigError(f"amplitude: must be >= 0, got {cfg.amplitude}")
+    if not 0 < cfg.epsilon < math.inf:
+        raise ConfigError(f"epsilon: must be finite and > 0, got {cfg.epsilon}")
+    if not 0 <= cfg.amplitude < math.inf:
+        raise ConfigError(f"amplitude: must be finite and >= 0, got {cfg.amplitude}")
     if not cfg.models:
         raise ConfigError("models: at least one model besides 'exact' is required")
-    if cfg.tau_periods is not None and not cfg.tau_periods > 0:
-        raise ConfigError(f"tau_periods: must be > 0, got {cfg.tau_periods}")
-    if not cfg.t_max_periods > 0:
-        raise ConfigError(f"t_max_periods: must be > 0, got {cfg.t_max_periods}")
+    if cfg.tau_periods is not None and not 0 < cfg.tau_periods < math.inf:
+        raise ConfigError(f"tau_periods: must be finite and > 0, got {cfg.tau_periods}")
+    if not 0 < cfg.t_max_periods < math.inf:
+        raise ConfigError(f"t_max_periods: must be finite and > 0, got {cfg.t_max_periods}")
     if cfg.samples < 2:
         raise ConfigError(f"samples: must be >= 2, got {cfg.samples}")
     if cfg.steps_per_period < 1:
         raise ConfigError(f"steps_per_period: must be >= 1, got {cfg.steps_per_period}")
-    if not cfg.kappa > 0:
-        raise ConfigError(f"kappa: must be > 0, got {cfg.kappa}")
+    if not 0 < cfg.kappa < math.inf:
+        raise ConfigError(f"kappa: must be finite and > 0, got {cfg.kappa}")
     for name in cfg.models:
         if name in RESONANT_ONLY_MODELS and not cfg.is_resonant:
             raise ConfigError(f"models: {name} requires delta = 0, got delta = {cfg.delta}")
@@ -247,14 +247,13 @@ def _run_simulation(cfg: ScenarioConfig):
     grid = periods * _TWO_PI
     shortest = min(_TWO_PI, _TWO_PI / (p.epsilon + 1.0))
     dt = shortest / cfg.steps_per_period
-    h_exact = lambda t: h_interaction(t, p)
+    u_exact = trajectory(lambda t: h_interaction(t, p), grid, dt)
 
     columns = [periods]
     header = ["t_over_period"]
     for name in cfg.models:
-        h_model = _model_hamiltonian(name, p, cfg.tau)
-        series = fidelity_series(h_exact, h_model, grid, dt)
-        columns.append(np.array([s.value for s in series]))
+        u_model = trajectory(_model_hamiltonian(name, p, cfg.tau), grid, dt)
+        columns.append(min_fidelity(u_exact, u_model))
         header.append(f"{name}_fidelity")
     return header, np.column_stack(columns)
 

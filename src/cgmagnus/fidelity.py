@@ -15,13 +15,8 @@ import numpy as np
 
 from .errors import NotUnitary
 from .model import DriveParams, Frame
-from .pauli import ID2, Unitary2, unitarity_defect
-from .propagation import (
-    PropagationSpec,
-    _reunitarize,
-    frame_transform,
-    propagate_coarse,
-)
+from .pauli import Unitary2, unitarity_defect
+from .propagation import frame_transform, trajectory
 
 __all__ = [
     "FidelitySample",
@@ -45,22 +40,21 @@ class FidelitySample:
 
 def _unitary_matrix(u) -> np.ndarray:
     m = u.matrix if isinstance(u, Unitary2) else np.asarray(u, dtype=complex)
-    defect = unitarity_defect(m)
-    if defect > 1e-12:
+    defect = np.max(unitarity_defect(m), initial=0.0)
+    if not defect <= 1e-12:
         raise NotUnitary(f"fidelity input has unitarity defect {defect:.3e}")
     return m
 
 
-def min_fidelity(u, u_eff) -> float:
+def min_fidelity(u, u_eff) -> float | np.ndarray:
     """Worst-case pure-state overlap |Tr(U^dagger U_eff)|^2 / 4.
 
-    Both arguments must be unitary (Unitary2 or plain 2x2 arrays) and expressed
-    in the same frame.
+    Both arguments must be unitary (Unitary2, plain 2x2 arrays or (..., 2, 2)
+    stacks, scored pair by pair) and expressed in the same frame.
     """
     a = _unitary_matrix(u)
     b = _unitary_matrix(u_eff)
-    v = a.conj().T @ b
-    return abs(v[0, 0] + v[1, 1]) ** 2 / 4.0
+    return np.abs(np.einsum("...ij,...ij->...", a.conj(), b)) ** 2 / 4.0
 
 
 def min_fidelity_bruteforce(u, u_eff, grid_n: int = 100) -> float:
@@ -87,11 +81,6 @@ def min_fidelity_bruteforce(u, u_eff, grid_n: int = 100) -> float:
     return float(np.abs(amp).min() ** 2)
 
 
-def _advance(h, t0: float, t1: float, dt: float) -> np.ndarray:
-    steps = max(1, math.ceil((t1 - t0) / dt))
-    return propagate_coarse(h, PropagationSpec(t0, t1, steps)).matrix
-
-
 def fidelity_series(
     h_exact,
     h_eff,
@@ -102,33 +91,22 @@ def fidelity_series(
 ) -> list[FidelitySample]:
     """Minimized fidelity of two evolutions from t = 0 along a monotone time grid.
 
-    Both generators are propagated incrementally with maximum step size
-    ``dt``; a static ``h_eff`` (PauliCoeffs) is advanced by exact
-    exponentials.  By default both Hamiltonians are taken in the same frame;
-    pass ``frames=(frame_exact, frame_eff)`` with ``params`` to align the two
+    Both generators are propagated by :func:`trajectory` with maximum step
+    size ``dt``; a static ``h_eff`` (PauliCoeffs) is exponentiated exactly.
+    By default both Hamiltonians are taken in the same frame; pass
+    ``frames=(frame_exact, frame_eff)`` with ``params`` to align the two
     propagators in the lab frame first (any common frame is equivalent by
     unitary invariance).
     """
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.size and ts[0] < 0:
-        raise ValueError("t_grid must be non-negative")
-    if np.any(np.diff(ts) < 0):
-        raise ValueError("t_grid must be monotone non-decreasing")
     if frames is not None and params is None:
         raise ValueError("params are required when frames are given")
-
-    u_ex = ID2.copy()
-    u_ef = ID2.copy()
-    t_prev = 0.0
-    samples = []
-    for t in ts:
-        if t > t_prev:
-            u_ex = _reunitarize(_advance(h_exact, t_prev, t, dt) @ u_ex)
-            u_ef = _reunitarize(_advance(h_eff, t_prev, t, dt) @ u_ef)
-            t_prev = t
-        a, b = u_ex, u_ef
-        if frames is not None:
-            a = frame_transform(Unitary2(a), frames[0], Frame.LAB, t, params).matrix
-            b = frame_transform(Unitary2(b), frames[1], Frame.LAB, t, params).matrix
-        samples.append(FidelitySample(t=float(t), value=min_fidelity(a, b)))
-    return samples
+    ts = np.asarray(t_grid, dtype=float)
+    us = [trajectory(h, ts, dt) for h in (h_exact, h_eff)]
+    if frames is not None:
+        us = [
+            np.array([frame_transform(Unitary2(m), frm, Frame.LAB, t, params).matrix
+                      for m, t in zip(u, ts)]).reshape(u.shape)
+            for u, frm in zip(us, frames)
+        ]
+    values = min_fidelity(*us)
+    return [FidelitySample(t=t, value=float(v)) for t, v in zip(ts.tolist(), values)]

@@ -131,10 +131,7 @@ def f1_numeric(h, w: Window, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray
     ``h`` maps a time to a Hermitian matrix or PauliCoeffs.
     """
     s, wt = _nodes(q, w.t0, w.t1)
-    acc = np.zeros((2, 2), dtype=complex)
-    for si, wi in zip(s, wt):
-        acc += wi * as_matrix(h(si))
-    return acc
+    return np.einsum("k,kij->ij", wt, np.array([as_matrix(h(si)) for si in s.tolist()]))
 
 
 def f2_numeric(h, w: Window, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
@@ -144,15 +141,13 @@ def f2_numeric(h, w: Window, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray
     node, so the commutator enters as [H(s1), G(s1)].
     """
     s1s, w1s = _nodes(q, w.t0, w.t1)
-    acc = np.zeros((2, 2), dtype=complex)
-    for s1, w1 in zip(s1s, w1s):
-        h1 = as_matrix(h(s1))
-        s2s, w2s = _nodes(q, w.t0, s1)
-        inner = np.zeros((2, 2), dtype=complex)
-        for s2, w2 in zip(s2s, w2s):
-            inner += w2 * as_matrix(h(s2))
-        acc += w1 * (h1 @ inner - inner @ h1)
-    return -0.5j * acc
+    # Inner nodes on [t0, s1] for every outer node s1, shape (outer, inner).
+    s2s, w2s = map(np.array, zip(*(_nodes(q, w.t0, s1) for s1 in s1s)))
+    nodes = np.concatenate((s1s, s2s.ravel())).tolist()
+    hs = np.fromiter((as_matrix(h(s)) for s in nodes), dtype=(complex, (2, 2)), count=len(nodes))
+    h1, h2 = hs[: s1s.size], hs[s1s.size :].reshape(s2s.shape + (2, 2))
+    inner = np.einsum("ak,akij->aij", w2s, h2)
+    return -0.5j * np.einsum("a,aij->ij", w1s, h1 @ inner - inner @ h1)
 
 
 def h_eff_window(

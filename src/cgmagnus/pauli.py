@@ -10,7 +10,6 @@ choice, so it must not be changed in isolation.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -45,10 +44,7 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-12
-
-# Below this value of |r*dt| the sinc-like factor sin(r*dt)/r switches to a
-# second-order Taylor branch; the truncation error is then < 1e-33 relative.
-_SMALL_ANGLE = 1e-8
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,7 @@ def decompose(m: np.ndarray) -> PauliCoeffs:
     """
     m = np.asarray(m, dtype=complex)
     defect = np.abs(m - m.conj().T).max()
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:
         raise NonHermitianInput(
             f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}"
         )
@@ -132,12 +128,16 @@ def decompose(m: np.ndarray) -> PauliCoeffs:
     )
 
 
-def unitarity_defect(m: np.ndarray) -> float:
-    """Max of the entrywise deviation of U^dagger U from 1 and of ||det U| - 1|."""
+def unitarity_defect(m: np.ndarray) -> float | np.ndarray:
+    """Max of the entrywise deviation of U^dagger U from 1 and of ||det U| - 1|.
+
+    A stack of shape (..., 2, 2) gives one defect per matrix.  NaN entries
+    give a NaN defect, which every ``defect <= tol`` check rejects.
+    """
     m = np.asarray(m, dtype=complex)
-    gram = np.abs(m.conj().T @ m - ID2).max()
-    det = abs(abs(np.linalg.det(m)) - 1.0)
-    return max(gram, det)
+    gram = np.abs(m.conj().swapaxes(-1, -2) @ m - ID2).max(axis=(-2, -1))
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return np.maximum(gram, np.abs(np.abs(det) - 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +155,7 @@ class Unitary2:
         if m.shape != (2, 2):
             raise NotUnitary(f"expected a 2x2 matrix, got shape {m.shape}")
         defect = unitarity_defect(m)
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:
             raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL}")
         object.__setattr__(self, "matrix", m)
 
@@ -170,30 +170,30 @@ class Unitary2:
         return cls(ID2)
 
 
-def _expm_matrix(p: PauliCoeffs, dt: float) -> np.ndarray:
-    """exp(-i * compose(p) * dt) as a raw ndarray, via the SU(2) closed form."""
-    r = math.sqrt(p.c1**2 + p.c2**2 + p.c3**2)
+def _expm_matrix(p: PauliCoeffs, dt) -> np.ndarray:
+    """exp(-i * compose(p) * dt) as a raw ndarray, via the SU(2) closed form.
+
+    Array fields of ``p`` or an array ``dt`` broadcast to a (..., 2, 2) stack.
+    """
+    r = np.sqrt(p.c1 * p.c1 + p.c2 * p.c2 + p.c3 * p.c3)
     x = r * dt
-    if abs(x) < _SMALL_ANGLE:
-        f = dt * (1.0 - x * x / 6.0)
-    else:
-        f = math.sin(x) / r
-    c = math.cos(x)
-    phase = cmath.exp(-1j * p.c0 * dt)
-    return np.array(
-        [
-            [phase * (c - 1j * f * p.c3), phase * (-1j * f * (p.c1 - 1j * p.c2))],
-            [phase * (-1j * f * (p.c1 + 1j * p.c2)), phase * (c + 1j * f * p.c3)],
-        ],
-        dtype=complex,
-    )
+    phase = np.exp(-1j * dt * p.c0)
+    c = phase * np.cos(x)
+    # phase * -i sin(r dt) / r; at r = 0 it multiplies only zero coefficients.
+    f = phase * (-1j * (np.sin(x) / np.maximum(r, _TINY)))
+    out = np.empty(c.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c + f * p.c3
+    out[..., 0, 1] = f * (p.c1 - 1j * p.c2)
+    out[..., 1, 0] = f * (p.c1 + 1j * p.c2)
+    out[..., 1, 1] = c - f * p.c3
+    return out
 
 
 def expm_pauli(p: PauliCoeffs, dt: float) -> Unitary2:
     """Exact exponential exp(-i H dt) of the Hermitian H described by ``p``.
 
     Uses exp(-i c0 dt) [cos(r dt) 1 - i sin(r dt) (n . sigma)] with
-    r = |(c1, c2, c3)|; the r -> 0 limit is handled by a Taylor branch.
+    r = |(c1, c2, c3)|.
     """
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")

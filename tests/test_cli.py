@@ -98,6 +98,11 @@ def test_effective_config_roundtrip(tmp_path):
         ({"epsilon": "4.0", "models": "resonant_magnus"}, "resonant_magnus"),
         ({"delta": "2.0"}, "epsilon"),  # inconsistent with epsilon = 4
         ({"bogus_key": "1"}, "bogus_key"),
+        ({"amplitude": "nan"}, "amplitude"),
+        ({"amplitude": "inf"}, "amplitude"),
+        ({"epsilon": "inf"}, "epsilon"),
+        ({"tau_periods": "inf"}, "tau_periods"),
+        ({"t_max_periods": "inf"}, "t_max_periods"),
     ],
 )
 def test_config_validation_exit_2(tmp_path, capsys, overrides, field):

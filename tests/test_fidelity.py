@@ -54,6 +54,14 @@ def test_rejects_non_unitary():
         min_fidelity(np.diag([1.0, 2.0]), ID2)
 
 
+def test_rejects_nan_input():
+    with pytest.raises(NotUnitary):
+        min_fidelity(np.full((2, 2), np.nan), ID2)
+    stack = np.array([ID2, np.full((2, 2), np.nan)])
+    with pytest.raises(NotUnitary):
+        min_fidelity(stack, stack)
+
+
 def test_bruteforce_grid_validation():
     with pytest.raises(ValueError):
         min_fidelity_bruteforce(ID2, ID2, 8)

@@ -32,6 +32,14 @@ def test_drive_params_validation():
         DriveParams(epsilon=1.0, omega=1.0, amplitude=-0.1)
 
 
+@pytest.mark.parametrize("field", ["epsilon", "omega", "amplitude"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_drive_params_rejects_non_finite(field, value):
+    kwargs = {"epsilon": 4.0, "omega": 1.0, "amplitude": 0.5, field: value}
+    with pytest.raises(ValueError, match=field):
+        DriveParams(**kwargs)
+
+
 def test_detuning_is_derived():
     p = DriveParams(epsilon=4.0, omega=1.0, amplitude=0.5)
     assert p.detuning == 3.0

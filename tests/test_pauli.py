@@ -54,6 +54,11 @@ def test_decompose_rejects_non_hermitian():
         decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_decompose_rejects_nan():
+    with pytest.raises(NonHermitianInput):
+        decompose(np.full((2, 2), np.nan))
+
+
 def test_expm_diagonal_generator():
     eps, t = 2.3, 1.4
     u = expm_pauli(PauliCoeffs(0, 0, 0, -eps / 2), t).matrix
@@ -135,6 +140,12 @@ def test_unitary2_accepts_unitary_rejects_other(rng):
         Unitary2(np.array([[1.0, 0.1], [0.0, 1.0]]))
     with pytest.raises(NotUnitary):
         Unitary2(np.eye(3))
+
+
+def test_unitary2_rejects_nan():
+    with pytest.raises(NotUnitary):
+        Unitary2(np.full((2, 2), np.nan))
+    assert math.isnan(unitarity_defect(np.full((2, 2), np.nan)))
 
 
 def test_unitary2_composition_and_dagger(rng):

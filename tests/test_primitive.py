@@ -1,0 +1,108 @@
+"""The batched propagation primitive pinned against step-by-step scalar references."""
+import math
+
+import numpy as np
+import pytest
+
+import cgmagnus.cli
+from cgmagnus import DriveParams, PauliCoeffs, expm_pauli, h_interaction, h_lab, min_fidelity
+from cgmagnus.cli import load_config, main
+from cgmagnus.pauli import ID2, _expm_matrix, as_coeffs
+from cgmagnus.propagation import PropagationSpec, propagate, trajectory
+
+from conftest import random_unitary
+
+DISPERSIVE = DriveParams(epsilon=4.0, omega=1.0, amplitude=0.5)
+
+
+def midpoint_reference(h, t0, t1, steps):
+    """One scalar exponential per midpoint step, later steps to the left."""
+    dt = (t1 - t0) / steps
+    u = ID2
+    for k in range(steps):
+        u = expm_pauli(as_coeffs(h(t0 + (k + 0.5) * dt)), dt).matrix @ u
+    return u
+
+
+@pytest.mark.parametrize("steps", [1, 1000, 2500])
+@pytest.mark.parametrize(
+    "h",
+    [lambda t: h_interaction(t, DISPERSIVE), lambda t: h_lab(t, DISPERSIVE)],
+    ids=["interaction", "lab"],
+)
+def test_propagate_matches_scalar_loop(h, steps):
+    u = propagate(h, PropagationSpec(0.3, 7.9, steps)).matrix
+    assert np.abs(u - midpoint_reference(h, 0.3, 7.9, steps)).max() <= 1e-12
+
+
+def test_trajectory_matches_chained_propagate():
+    h = lambda t: h_interaction(t, DISPERSIVE)
+    ts = [0.0, 0.0, 0.37, 0.37, 1.0, 2.95, 2.95, 3.0, 11.2]
+    dt = 0.013
+    got = trajectory(h, ts, dt)
+    assert got.shape == (len(ts), 2, 2)
+    u = ID2
+    t_prev = 0.0
+    for t, g in zip(ts, got):
+        if t > t_prev:
+            spec = PropagationSpec(t_prev, t, max(1, math.ceil((t - t_prev) / dt)))
+            u = propagate(h, spec).matrix @ u
+            t_prev = t
+        assert np.abs(g - u).max() <= 1e-12
+
+
+def test_trajectory_static_generator_is_exact():
+    p = PauliCoeffs(0.2, 0.5, -0.1, 0.3)
+    ts = np.linspace(0.0, 40.0, 9)
+    got = trajectory(p, ts, 0.1)
+    for t, g in zip(ts, got):
+        assert np.abs(g - expm_pauli(p, t).matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "ts,dt",
+    [([0.0, 1.0], -0.1), ([0.0, 1.0], 0.0), ([0.0, 1.0], math.nan), ([0.0, math.nan], 0.1)],
+)
+def test_trajectory_rejects_bad_step_or_grid(ts, dt):
+    # A negative step used to give one step per interval, silently.
+    with pytest.raises(ValueError):
+        trajectory(lambda t: h_interaction(t, DISPERSIVE), ts, dt)
+
+
+def test_stacked_expm_matches_scalar_rows(rng):
+    c = rng.normal(size=(50, 4)) * 3.0
+    c[:5, 1:] = 0.0  # r = 0 rows
+    c[5, :] = 0.0
+    dt = rng.normal(size=50) * 5.0
+    got = _expm_matrix(PauliCoeffs(*c.T), dt)
+    assert got.shape == (50, 2, 2)
+    for row, d, g in zip(c, dt, got):
+        assert np.abs(g - _expm_matrix(PauliCoeffs(*row.tolist()), float(d))).max() <= 1e-12
+
+
+def test_stacked_min_fidelity_matches_pairs(rng):
+    a = np.array([random_unitary(rng) for _ in range(40)])
+    b = np.array([random_unitary(rng) for _ in range(40)])
+    got = min_fidelity(a, b)
+    assert got.shape == (40,)
+    for u, v, f in zip(a, b, got):
+        assert abs(f - min_fidelity(u, v)) <= 1e-12
+
+
+def test_simulate_evaluates_exact_generator_once_per_step(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "epsilon = 4.0\namplitude = 0.5\ntau_periods = 5\nmodels = magnus2, rwa\n"
+        "t_max_periods = 5\nsamples = 50\nsteps_per_period = 200\n",
+        encoding="utf-8",
+    )
+    calls = []
+    monkeypatch.setattr(
+        cgmagnus.cli, "h_interaction", lambda t, p: calls.append(t) or h_interaction(t, p)
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+    loaded = load_config(str(cfg))
+    grid = loaded.grid_periods() * 2.0 * math.pi
+    dt = 2.0 * math.pi / 5.0 / loaded.steps_per_period
+    steps = sum(max(1, math.ceil((t1 - t0) / dt)) for t0, t1 in zip(grid, grid[1:]))
+    assert len(calls) == steps

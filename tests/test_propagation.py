@@ -37,8 +37,6 @@ def test_spec_validation():
         PropagationSpec(1.0, 0.0, 10)
     with pytest.raises(ValueError):
         PropagationSpec(0.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        PropagationSpec(0.0, 1.0, 10, method="rk4")
 
 
 def test_constant_generator_is_exact():
