@@ -20,7 +20,6 @@ from .errors import (
 )
 from .fidelity import FidelitySample, fidelity_series, min_fidelity, min_fidelity_bruteforce
 from .magnus import (
-    QuadratureRule,
     QuadratureSpec,
     Window,
     f1_numeric,

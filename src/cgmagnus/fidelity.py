@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NotUnitary
 from .model import DriveParams, Frame
 from .pauli import Unitary2, unitarity_defect
-from .propagation import frame_transform, trajectory
+from .propagation import _to_lab_factor, trajectory
 
 __all__ = [
     "FidelitySample",
@@ -61,15 +61,16 @@ def min_fidelity_bruteforce(u, u_eff, grid_n: int = 100) -> float:
     """Direct minimization of |<psi|V|psi>|^2 over a Bloch-sphere grid.
 
     States |psi> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> on a
-    grid_n x grid_n (theta, phi) grid.  A grid minimum can only overestimate
-    the true minimum, so this is a one-sided oracle for :func:`min_fidelity`.
+    (grid_n | 1) x grid_n (theta, phi) grid, odd so that it holds the equator.
+    A grid minimum can only overestimate the true minimum, so this is a
+    one-sided oracle for :func:`min_fidelity`.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
     a = _unitary_matrix(u)
     b = _unitary_matrix(u_eff)
     v = a.conj().T @ b
-    theta = np.linspace(0.0, math.pi, grid_n)
+    theta = np.linspace(0.0, math.pi, grid_n | 1)
     phi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
     ct = np.cos(0.5 * theta)[:, None] * np.ones_like(phi)[None, :]
     st = np.sin(0.5 * theta)[:, None] * np.exp(1j * phi)[None, :]
@@ -103,10 +104,6 @@ def fidelity_series(
     ts = np.asarray(t_grid, dtype=float)
     us = [trajectory(h, ts, dt) for h in (h_exact, h_eff)]
     if frames is not None:
-        us = [
-            np.array([frame_transform(Unitary2(m), frm, Frame.LAB, t, params).matrix
-                      for m, t in zip(u, ts)]).reshape(u.shape)
-            for u, frm in zip(us, frames)
-        ]
+        us = [_to_lab_factor(frm, ts, params) @ u for u, frm in zip(us, frames)]
     values = min_fidelity(*us)
     return [FidelitySample(t=t, value=float(v)) for t, v in zip(ts.tolist(), values)]

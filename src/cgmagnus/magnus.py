@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +34,6 @@ from .pauli import PauliCoeffs, as_matrix, decompose
 
 __all__ = [
     "Window",
-    "QuadratureRule",
     "QuadratureSpec",
     "sinc",
     "f1_numeric",
@@ -61,6 +59,11 @@ def sinc(x: float) -> float:
     return math.sin(x) / x
 
 
+def _check_tau(tau: float) -> None:
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
+
+
 @dataclass(frozen=True)
 class Window:
     """Coarse-graining window [t - tau/2, t + tau/2] centered at t."""
@@ -69,8 +72,9 @@ class Window:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
+        _check_tau(self.tau)
 
     @property
     def t0(self) -> float:
@@ -81,29 +85,20 @@ class Window:
         return self.t + 0.5 * self.tau
 
 
-class QuadratureRule(Enum):
-    GAUSS_LEGENDRE = "gauss-legendre"
-    SIMPSON = "simpson"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature rule and resolution for the window integrals.
+    """Gauss-Legendre resolution for the window integrals.
 
-    ``points`` is the node count per dimension for Gauss-Legendre and the
-    (even) subinterval count for Simpson.  The default, 64-point
-    Gauss-Legendre, is spectrally accurate for the smooth trigonometric
-    integrands of this problem at benchmark-sized windows.
+    ``points`` is the node count per dimension.  The default, 64 points, is
+    spectrally accurate for the smooth trigonometric integrands of this
+    problem at benchmark-sized windows.
     """
 
-    rule: QuadratureRule = QuadratureRule.GAUSS_LEGENDRE
     points: int = 64
 
     def __post_init__(self):
         if self.points < 4:
             raise ValueError(f"points must be >= 4, got {self.points}")
-        if self.rule is QuadratureRule.SIMPSON and self.points % 2 != 0:
-            raise ValueError("Simpson rule needs an even subinterval count")
 
 
 @lru_cache(maxsize=None)
@@ -111,27 +106,22 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _nodes(q: QuadratureSpec, lo: float, hi: float):
-    if q.rule is QuadratureRule.GAUSS_LEGENDRE:
-        x, w = _leggauss(q.points)
-        half = 0.5 * (hi - lo)
-        return 0.5 * (hi + lo) + half * x, half * w
-    n = q.points
-    s = np.linspace(lo, hi, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (hi - lo) / (3.0 * n)
-    return s, w
+def _sample(h, q: QuadratureSpec, lo: float, hi):
+    # Nodes and weights on [lo, hi], and h on all nodes in one call (a constant
+    # result is broadcast); an array hi of shape (n, 1) gives (n, points) nodes.
+    x, w = _leggauss(q.points)
+    half = 0.5 * (hi - lo)
+    s = 0.5 * (hi + lo) + half * x
+    return s, half * w, np.broadcast_to(as_matrix(h(s)), s.shape + (2, 2))
 
 
 def f1_numeric(h, w: Window, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """First Magnus term int H(s) ds over the window, by quadrature.
 
-    ``h`` maps a time to a Hermitian matrix or PauliCoeffs.
+    ``h`` maps an array of times to Hermitian matrices or PauliCoeffs.
     """
-    s, wt = _nodes(q, w.t0, w.t1)
-    return np.einsum("k,kij->ij", wt, np.array([as_matrix(h(si)) for si in s.tolist()]))
+    _, wt, hs = _sample(h, q, w.t0, w.t1)
+    return np.einsum("k,kij->ij", wt, hs)
 
 
 def f2_numeric(h, w: Window, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
@@ -140,14 +130,10 @@ def f2_numeric(h, w: Window, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray
     The inner integral G(s1) = int_{t0}^{s1} H(s2) ds2 is evaluated per outer
     node, so the commutator enters as [H(s1), G(s1)].
     """
-    s1s, w1s = _nodes(q, w.t0, w.t1)
-    # Inner nodes on [t0, s1] for every outer node s1, shape (outer, inner).
-    s2s, w2s = map(np.array, zip(*(_nodes(q, w.t0, s1) for s1 in s1s)))
-    nodes = np.concatenate((s1s, s2s.ravel())).tolist()
-    hs = np.fromiter((as_matrix(h(s)) for s in nodes), dtype=(complex, (2, 2)), count=len(nodes))
-    h1, h2 = hs[: s1s.size], hs[s1s.size :].reshape(s2s.shape + (2, 2))
-    inner = np.einsum("ak,akij->aij", w2s, h2)
-    return -0.5j * np.einsum("a,aij->ij", w1s, h1 @ inner - inner @ h1)
+    s1, w1, h1 = _sample(h, q, w.t0, w.t1)
+    _, w2, h2 = _sample(h, q, w.t0, s1[:, None])
+    inner = np.einsum("ak,akij->aij", w2, h2)
+    return -0.5j * np.einsum("a,aij->ij", w1, h1 @ inner - inner @ h1)
 
 
 def h_eff_window(
@@ -184,6 +170,7 @@ def h_eff1_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
     Each oscillating component is scaled by the sinc of half its phase swing
     across the window; as tau -> 0 this reduces to h_interaction(t).
     """
+    _check_tau(tau)
     d = p.detuning
     b = p.epsilon + p.omega
     half = 0.5 * p.amplitude
@@ -191,8 +178,8 @@ def h_eff1_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
     sb = sinc(0.5 * b * tau)
     return PauliCoeffs(
         0.0,
-        half * (math.cos(d * t) * sd + math.cos(b * t) * sb),
-        half * (math.sin(d * t) * sd + math.sin(b * t) * sb),
+        half * (np.cos(d * t) * sd + np.cos(b * t) * sb),
+        half * (np.sin(d * t) * sd + np.sin(b * t) * sb),
         0.0,
     )
 
@@ -214,9 +201,12 @@ def h_eff2_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
 
     Raises
     ------
+    ValueError
+        If tau is not finite and > 0.
     DetuningSingularity
         If |delta| * tau < 1e-6; the resonant pathway must be used instead.
     """
+    _check_tau(tau)
     d = p.detuning
     b = p.epsilon + p.omega
     if abs(d) * tau < 1e-6:

@@ -87,7 +87,7 @@ def h0_coeffs(p: DriveParams) -> PauliCoeffs:
 def h_lab(t: float, p: DriveParams) -> PauliCoeffs:
     """Full lab-frame Hamiltonian H0 + W cos(omega t) sigma1."""
     return PauliCoeffs(
-        0.0, p.amplitude * math.cos(p.omega * t), 0.0, -0.5 * p.epsilon
+        0.0, p.amplitude * np.cos(p.omega * t), 0.0, -0.5 * p.epsilon
     )
 
 
@@ -103,8 +103,8 @@ def h_interaction(t: float, p: DriveParams) -> PauliCoeffs:
     half = 0.5 * p.amplitude
     return PauliCoeffs(
         0.0,
-        half * (math.cos(d * t) + math.cos(b * t)),
-        half * (math.sin(d * t) + math.sin(b * t)),
+        half * (np.cos(d * t) + np.cos(b * t)),
+        half * (np.sin(d * t) + np.sin(b * t)),
         0.0,
     )
 
@@ -113,21 +113,21 @@ def h_rw_interaction(t: float, p: DriveParams) -> PauliCoeffs:
     """Corotating part in the interaction picture, rotating at the detuning."""
     d = p.detuning
     half = 0.5 * p.amplitude
-    return PauliCoeffs(0.0, half * math.cos(d * t), half * math.sin(d * t), 0.0)
+    return PauliCoeffs(0.0, half * np.cos(d * t), half * np.sin(d * t), 0.0)
 
 
 def h_cr_interaction(t: float, p: DriveParams) -> PauliCoeffs:
     """Counterrotating part in the interaction picture, rotating at epsilon + omega."""
     b = p.epsilon + p.omega
     half = 0.5 * p.amplitude
-    return PauliCoeffs(0.0, half * math.cos(b * t), half * math.sin(b * t), 0.0)
+    return PauliCoeffs(0.0, half * np.cos(b * t), half * np.sin(b * t), 0.0)
 
 
 def _h_cr_lab(t: float, p: DriveParams) -> PauliCoeffs:
     # Lab-frame counterrotating term (W/2)(e^{-i omega t} sigma+ + h.c.).
     half = 0.5 * p.amplitude
     return PauliCoeffs(
-        0.0, half * math.cos(p.omega * t), half * math.sin(p.omega * t), 0.0
+        0.0, half * np.cos(p.omega * t), half * np.sin(p.omega * t), 0.0
     )
 
 
@@ -151,7 +151,7 @@ def h_bar(t: float, p: DriveParams) -> PauliCoeffs:
     bar-frame dynamics (the tests pin the two-route propagator equivalence).
     """
     ux = u_x(t, p)
-    m = ux.conj().T @ compose(_h_cr_lab(t, p)) @ ux
+    m = ux.conj().swapaxes(-1, -2) @ compose(_h_cr_lab(t, p)) @ ux
     return decompose(m)
 
 

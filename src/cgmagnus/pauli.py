@@ -90,24 +90,19 @@ class PauliCoeffs:
         """Euclidean norm of the (c1, c2, c3) part, i.e. half the level splitting."""
         return math.sqrt(self.c1**2 + self.c2**2 + self.c3**2)
 
-    @classmethod
-    def zero(cls) -> "PauliCoeffs":
-        return cls(0.0, 0.0, 0.0, 0.0)
-
 
 def compose(p: PauliCoeffs) -> np.ndarray:
-    """Assemble the 2x2 complex matrix c0*1 + c1*sigma1 + c2*sigma2 + c3*sigma3."""
-    return np.array(
-        [
-            [p.c0 + p.c3, p.c1 - 1j * p.c2],
-            [p.c1 + 1j * p.c2, p.c0 - p.c3],
-        ],
-        dtype=complex,
-    )
+    """Assemble the 2x2 complex matrix c0*1 + c1*sigma1 + c2*sigma2 + c3*sigma3.
+
+    Array fields broadcast to a (..., 2, 2) stack.
+    """
+    c0, c1, c2, c3 = np.broadcast_arrays(p.c0, p.c1, p.c2, p.c3)
+    flat = np.stack([c0 + c3, c1 - 1j * c2, c1 + 1j * c2, c0 - c3], axis=-1)
+    return flat.reshape(c0.shape + (2, 2))
 
 
 def decompose(m: np.ndarray) -> PauliCoeffs:
-    """Project a Hermitian 2x2 matrix onto the Pauli basis.
+    """Project a Hermitian 2x2 matrix, or a (..., 2, 2) stack, onto the Pauli basis.
 
     Raises
     ------
@@ -115,16 +110,16 @@ def decompose(m: np.ndarray) -> PauliCoeffs:
         If any entry of ``m - m^dagger`` exceeds 1e-10 in magnitude.
     """
     m = np.asarray(m, dtype=complex)
-    defect = np.abs(m - m.conj().T).max()
+    defect = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0)
     if not defect <= HERMITICITY_TOL:
         raise NonHermitianInput(
             f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}"
         )
     return PauliCoeffs(
-        0.5 * (m[0, 0] + m[1, 1]).real,
-        0.5 * (m[0, 1] + m[1, 0]).real,
-        0.5 * (m[1, 0] - m[0, 1]).imag,
-        0.5 * (m[0, 0] - m[1, 1]).real,
+        0.5 * (m[..., 0, 0] + m[..., 1, 1]).real,
+        0.5 * (m[..., 0, 1] + m[..., 1, 0]).real,
+        0.5 * (m[..., 1, 0] - m[..., 0, 1]).imag,
+        0.5 * (m[..., 0, 0] - m[..., 1, 1]).real,
     )
 
 
@@ -208,14 +203,14 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def as_matrix(value) -> np.ndarray:
-    """Coerce a PauliCoeffs or array-like to a 2x2 complex ndarray."""
+    """Coerce a PauliCoeffs or array-like to a complex 2x2 ndarray or (..., 2, 2) stack."""
     if isinstance(value, PauliCoeffs):
         return compose(value)
     return np.asarray(value, dtype=complex)
 
 
 def as_coeffs(value) -> PauliCoeffs:
-    """Coerce a Hermitian matrix or PauliCoeffs to PauliCoeffs."""
+    """Coerce a Hermitian matrix (or stack) or PauliCoeffs to PauliCoeffs."""
     if isinstance(value, PauliCoeffs):
         return value
     return decompose(value)

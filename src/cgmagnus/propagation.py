@@ -5,6 +5,10 @@ exponentials per step: unconditionally unitary, second-order accurate, and
 cheap for 2x2 generators.  Reference solutions are self-refined (a run at
 several times the step count serves as ground truth), with convergence-order
 checks in the tests guarding against systematic bias.
+
+A generator is a function of an ndarray of times.  It returns PauliCoeffs
+whose fields broadcast to that shape, or a Hermitian stack of shape
+``ts.shape + (2, 2)``; a constant result is broadcast.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateSplittingWarning, UnknownFramePair
 from .model import DriveParams, Frame, h0_coeffs, h_lab, u_x
-from .pauli import ID2, PauliCoeffs, Unitary2, _expm_matrix, as_coeffs
+from .pauli import ID2, Unitary2, _expm_matrix, as_coeffs
 
 __all__ = [
     "PropagationSpec",
@@ -51,25 +55,41 @@ class PropagationSpec:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
-def _product(h, t0: float, t1: float, steps: int, u: np.ndarray = ID2) -> np.ndarray:
-    """exp(-i h(t_steps) dt) ... exp(-i h(t_1) dt) @ u at the step midpoints t_k.
+def _scan(m: np.ndarray) -> np.ndarray:
+    """Running products m[k] @ ... @ m[0] of an (n, 2, 2) stack: Blelloch's work-efficient scan."""
+    if len(m) == 1:
+        return m
+    odd = _scan(m[1::2] @ m[0 : len(m) - 1 : 2])
+    out = m.copy()
+    out[1::2] = odd
+    out[2::2] = m[2::2] @ odd[: (len(m) - 1) // 2]
+    return out
 
-    The midpoint samples of each block are exponentiated in one call and
-    multiplied pairwise, later steps to the left.
+
+def _product(h, edges, steps) -> np.ndarray:
+    """U(edges[i + 1], edges[0]) for every interval i, shape (len(steps), 2, 2).
+
+    Interval i is spanned by steps[i] midpoint factors exp(-i h(t_k) dt_i),
+    later steps to the left; an interval with no steps repeats the previous
+    result.  Each block of _BLOCK global steps calls h once.
     """
-    dt = (t1 - t0) / steps
-    for start in range(0, steps, _BLOCK):
-        tm = t0 + (np.arange(start, min(start + _BLOCK, steps)) + 0.5) * dt
-        hs = [as_coeffs(h(t)) for t in tm.tolist()]
-        c = np.array([(p.c0, p.c1, p.c2, p.c3) for p in hs])
-        m = _expm_matrix(PauliCoeffs(*c.T), dt)
-        while len(m) > 1:
-            if len(m) % 2:
-                m = np.concatenate((m, ID2[None]))
-            m = m[1::2] @ m[0::2]
-        u = m[0] @ u
-        u = u @ (1.5 * ID2 - 0.5 * (u.conj().T @ u))  # first-order polar projection
-    return u
+    edges = np.asarray(edges, dtype=float)
+    steps = np.asarray(steps, dtype=int)
+    stop = np.cumsum(steps)  # one past each interval's last global step
+    dts = np.diff(edges) / np.maximum(steps, 1)
+    last = stop[steps > 0] - 1
+    ends, u = [ID2[None]], ID2
+    for start in range(0, int(steps.sum()), _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, stop[-1]))
+        i = np.searchsorted(stop, k, side="right")
+        tm = edges[i] + (k - stop[i] + steps[i] + 0.5) * dts[i]
+        m = _scan(_expm_matrix(as_coeffs(h(tm)), dts[i]))
+        lo, hi = np.searchsorted(last, (start, k[-1] + 1))
+        m = m[np.append(last[lo:hi] - start, -1)] @ u
+        m = m @ (1.5 * ID2 - 0.5 * (m.conj().swapaxes(-1, -2) @ m))  # first-order polar projection
+        ends.append(m[:-1])
+        u = m[-1]
+    return np.concatenate(ends)[np.cumsum(steps > 0)]
 
 
 def propagate(h, spec: PropagationSpec) -> Unitary2:
@@ -78,7 +98,7 @@ def propagate(h, spec: PropagationSpec) -> Unitary2:
     Product of per-step factors exp(-i h(midpoint) dt), later steps to the
     left.  Each factor is exactly unitary; the global error is O(dt^2).
     """
-    return Unitary2(_product(h, spec.t0, spec.t1, spec.steps))
+    return Unitary2(_product(h, (spec.t0, spec.t1), (spec.steps,))[0])
 
 
 def propagate_coarse(h_eff, spec: PropagationSpec) -> Unitary2:
@@ -101,25 +121,19 @@ def trajectory(h, ts, dt: float) -> np.ndarray:
     exponentiated exactly at each t.
     """
     ts = np.asarray(ts, dtype=float)
-    if not np.all(np.diff(ts, prepend=0.0) >= 0):
-        raise ValueError("t_grid must be non-negative and monotone non-decreasing")
+    gaps = np.diff(ts, prepend=0.0)
+    if not np.all((gaps >= 0) & np.isfinite(gaps)):
+        raise ValueError("t_grid must be finite, non-negative and monotone non-decreasing")
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if not callable(h):
         return _expm_matrix(as_coeffs(h), ts)
-    out = np.empty((ts.size, 2, 2), dtype=complex)
-    u = ID2
-    t_prev = 0.0
-    for i, t in enumerate(ts.tolist()):
-        if t > t_prev:
-            u = _product(h, t_prev, t, max(1, math.ceil((t - t_prev) / dt)), u)
-            t_prev = t
-        out[i] = u
-    return out
+    steps = np.where(gaps > 0, np.maximum(1, np.ceil(gaps / dt)), 0)
+    return _product(h, np.concatenate(([0.0], ts)), steps)
 
 
-def _to_lab_factor(frame: Frame, t: float, p: DriveParams) -> np.ndarray:
-    # L with |psi_lab> = L |psi_frame>.
+def _to_lab_factor(frame: Frame, t, p: DriveParams) -> np.ndarray:
+    # L with |psi_lab> = L |psi_frame>; an array t gives a (..., 2, 2) stack.
     if frame is Frame.LAB:
         return ID2
     if frame is Frame.INTERACTION:
@@ -164,7 +178,7 @@ def floquet_splitting(p: DriveParams, steps: int | None = None) -> float:
     if steps is None:
         steps = default_floquet_steps(p)
     period = p.drive_period
-    u = _product(lambda t: h_lab(t, p), 0.0, period, steps)
+    u = _product(lambda t: h_lab(t, p), (0.0, period), (steps,))[0]
     lam = np.linalg.eigvals(u)
     # Relative eigenphase, insensitive to the global phase convention.
     rel = abs(np.angle(lam[0] * np.conj(lam[1])))

@@ -17,6 +17,8 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import AmplitudePole, NotResonant, ResonantStarkWarning
 from .pauli import PauliCoeffs
 
@@ -142,7 +144,7 @@ def h_eff_resonant_bar(t: float, p: "DriveParams") -> PauliCoeffs:
     slow = -0.5 * bloch_siegert_shift(p) * _amplitude_ratio_factor(p)
     wt = p.amplitude * t
     return PauliCoeffs(
-        0.0, -0.5 * s_prime, slow * math.sin(wt), slow * math.cos(wt)
+        0.0, -0.5 * s_prime, slow * np.sin(wt), slow * np.cos(wt)
     )
 
 

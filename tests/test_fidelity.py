@@ -79,6 +79,13 @@ def test_bruteforce_agrees_with_closed_form(rng):
     assert worst < 1e-4
 
 
+def test_bruteforce_even_grid_holds_equator():
+    # A sigma3 rotation by pi has its worst states on the equator, F = 0; an
+    # even theta grid without that row overshot by 2.5e-4 at grid_n = 100.
+    v = expm_pauli(PauliCoeffs(0, 0, 0, 1), math.pi / 2).matrix
+    assert min_fidelity_bruteforce(ID2, v, 100) - min_fidelity(ID2, v) < 1e-4
+
+
 def test_bruteforce_minimizer_on_equator():
     # For a pure sigma3 phase the worst state is an equal superposition.
     v = expm_pauli(PauliCoeffs(0, 0, 0, 0.9), 1.0).matrix

@@ -43,6 +43,21 @@ def test_decompose_compose_roundtrip(rng):
             assert abs(a - b) < 1e-12
 
 
+def test_compose_decompose_stacks_roundtrip(rng):
+    c = rng.normal(size=(4, 3, 5))
+    m = compose(PauliCoeffs(*c))
+    assert m.shape == (3, 5, 2, 2)
+    for idx in np.ndindex(3, 5):
+        np.testing.assert_array_equal(m[idx], compose(PauliCoeffs(*c[(slice(None),) + idx])))
+    q = decompose(m)
+    np.testing.assert_allclose(np.array([q.c0, q.c1, q.c2, q.c3]), c, atol=1e-15)
+    # Fields broadcast: scalar c0 with array c3.
+    assert compose(PauliCoeffs(0.5, 0.0, 0.0, c[3, 0])).shape == (5, 2, 2)
+    m[1, 2, 0, 1] += 1e-6
+    with pytest.raises(NonHermitianInput):
+        decompose(m)
+
+
 def test_compose_decompose_random_hermitian(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     h = a + a.conj().T

@@ -3,16 +3,47 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import cgmagnus.cli
-from cgmagnus import DriveParams, PauliCoeffs, expm_pauli, h_interaction, h_lab, min_fidelity
+from cgmagnus import (
+    DriveParams,
+    PauliCoeffs,
+    expm_pauli,
+    h_bar,
+    h_cr_interaction,
+    h_eff1_analytic,
+    h_eff2_analytic,
+    h_eff_order2_analytic,
+    h_eff_resonant_bar,
+    h_interaction,
+    h_lab,
+    h_rw_interaction,
+    min_fidelity,
+)
 from cgmagnus.cli import load_config, main
 from cgmagnus.pauli import ID2, _expm_matrix, as_coeffs
-from cgmagnus.propagation import PropagationSpec, propagate, trajectory
+from cgmagnus.propagation import _BLOCK, PropagationSpec, _scan, propagate, trajectory
 
 from conftest import random_unitary
 
 DISPERSIVE = DriveParams(epsilon=4.0, omega=1.0, amplitude=0.5)
+RESONANT = DriveParams(epsilon=1.0, omega=1.0, amplitude=0.1)
+TAU = 5 * 2 * math.pi
+
+# Every library generator, as a function of time only.
+GENERATORS = {
+    "h_lab": lambda t: h_lab(t, DISPERSIVE),
+    "h_interaction": lambda t: h_interaction(t, DISPERSIVE),
+    "h_rw_interaction": lambda t: h_rw_interaction(t, DISPERSIVE),
+    "h_cr_interaction": lambda t: h_cr_interaction(t, DISPERSIVE),
+    "h_bar": lambda t: h_bar(t, RESONANT),
+    "h_eff1_analytic": lambda t: h_eff1_analytic(t, DISPERSIVE, TAU),
+    "h_eff2_analytic": lambda t: h_eff2_analytic(t, DISPERSIVE, TAU),
+    "h_eff_order2_analytic": lambda t: h_eff_order2_analytic(t, DISPERSIVE, TAU),
+    "h_eff_resonant_bar": lambda t: h_eff_resonant_bar(t, RESONANT),
+}
 
 
 def midpoint_reference(h, t0, t1, steps):
@@ -24,7 +55,7 @@ def midpoint_reference(h, t0, t1, steps):
     return u
 
 
-@pytest.mark.parametrize("steps", [1, 1000, 2500])
+@pytest.mark.parametrize("steps", [1, 1000, 2500, 1024, 1025, 2049])
 @pytest.mark.parametrize(
     "h",
     [lambda t: h_interaction(t, DISPERSIVE), lambda t: h_lab(t, DISPERSIVE)],
@@ -51,6 +82,41 @@ def test_trajectory_matches_chained_propagate():
         assert np.abs(g - u).max() <= 1e-12
 
 
+def test_trajectory_empty_and_all_zero_grids():
+    h = lambda t: h_interaction(t, DISPERSIVE)
+    assert trajectory(h, [], 0.1).shape == (0, 2, 2)
+    got = trajectory(h, [0.0, 0.0, 0.0], 0.1)
+    assert got.shape == (3, 2, 2)
+    np.testing.assert_array_equal(got, np.broadcast_to(ID2, (3, 2, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(GENERATORS)),
+    ts=arrays(float, array_shapes(max_dims=2, max_side=6), elements=st.floats(-60.0, 60.0)),
+)
+def test_array_generators_match_scalar_calls(name, ts):
+    h = GENERATORS[name]
+    batch = h(ts)
+    for idx in np.ndindex(ts.shape):
+        one = h(float(ts[idx]))
+        for field in ("c0", "c1", "c2", "c3"):
+            got = np.broadcast_to(getattr(batch, field), ts.shape)[idx]
+            assert abs(got - getattr(one, field)) <= 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 2100), seed=st.integers(0, 2**32 - 1))
+def test_scan_matches_sequential_product(n, seed):
+    c = np.random.default_rng(seed).normal(size=(4, n))
+    m = _expm_matrix(PauliCoeffs(*c), 0.7)
+    got = _scan(m)
+    u = ID2
+    for k in range(n):
+        u = m[k] @ u
+        assert np.abs(got[k] - u).max() <= 1e-12
+
+
 def test_trajectory_static_generator_is_exact():
     p = PauliCoeffs(0.2, 0.5, -0.1, 0.3)
     ts = np.linspace(0.0, 40.0, 9)
@@ -67,6 +133,11 @@ def test_trajectory_rejects_bad_step_or_grid(ts, dt):
     # A negative step used to give one step per interval, silently.
     with pytest.raises(ValueError):
         trajectory(lambda t: h_interaction(t, DISPERSIVE), ts, dt)
+
+
+def test_trajectory_rejects_non_finite_grid():
+    with pytest.raises(ValueError, match="finite"):
+        trajectory(lambda t: h_interaction(t, DISPERSIVE), [0.0, math.inf], 0.1)
 
 
 def test_stacked_expm_matches_scalar_rows(rng):
@@ -105,4 +176,5 @@ def test_simulate_evaluates_exact_generator_once_per_step(tmp_path, monkeypatch)
     grid = loaded.grid_periods() * 2.0 * math.pi
     dt = 2.0 * math.pi / 5.0 / loaded.steps_per_period
     steps = sum(max(1, math.ceil((t1 - t0) / dt)) for t0, t1 in zip(grid, grid[1:]))
-    assert len(calls) == steps
+    assert sum(np.size(t) for t in calls) == steps
+    assert len(calls) == math.ceil(steps / _BLOCK)
