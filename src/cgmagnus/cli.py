@@ -263,8 +263,8 @@ def _write_csv(path: str, cfg: ScenarioConfig, header, rows) -> None:
         for line in cfg.effective_lines():
             f.write(f"# {line}\n")
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(f"{v:.12e}" for v in row) + "\n")
+        nrows, ncols = rows.shape
+        f.write((",".join(["%.12e"] * ncols) + "\n") * nrows % tuple(rows.ravel().tolist()))
 
 
 def _regime_case(cfg: ScenarioConfig) -> str:

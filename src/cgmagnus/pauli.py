@@ -86,9 +86,9 @@ class PauliCoeffs:
         return self * -1.0
 
     @property
-    def vector_norm(self) -> float:
+    def vector_norm(self) -> float | np.ndarray:
         """Euclidean norm of the (c1, c2, c3) part, i.e. half the level splitting."""
-        return math.sqrt(self.c1**2 + self.c2**2 + self.c3**2)
+        return np.sqrt(self.c1**2 + self.c2**2 + self.c3**2)
 
 
 def compose(p: PauliCoeffs) -> np.ndarray:
@@ -182,6 +182,11 @@ def _expm_matrix(p: PauliCoeffs, dt) -> np.ndarray:
     out[..., 1, 0] = f * (p.c1 + 1j * p.c2)
     out[..., 1, 1] = c - f * p.c3
     return out
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2x2 matrices or broadcastable (..., 2, 2) stacks, as two outer products."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
 
 
 def expm_pauli(p: PauliCoeffs, dt: float) -> Unitary2:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateSplittingWarning, UnknownFramePair
 from .model import DriveParams, Frame, h0_coeffs, h_lab, u_x
-from .pauli import ID2, Unitary2, _expm_matrix, as_coeffs
+from .pauli import ID2, Unitary2, _expm_matrix, _mul, as_coeffs
 
 __all__ = [
     "PropagationSpec",
@@ -36,7 +36,9 @@ DEFAULT_STEPS_PER_PERIOD = 200
 
 # Steps exponentiated and multiplied per batch; bounds the batch memory.
 # Roundoff in a pairwise product grows with log2(_BLOCK), and one projection
-# per block keeps the defect far below the 1e-12 Unitary2 invariant.
+# per block keeps the defect far below the 1e-12 Unitary2 invariant.  Every
+# stacked product in a block goes through pauli._mul, because numpy's complex
+# ``@`` runs a generic per-matrix loop that costs several times more on 2x2s.
 _BLOCK = 1024
 
 
@@ -59,10 +61,10 @@ def _scan(m: np.ndarray) -> np.ndarray:
     """Running products m[k] @ ... @ m[0] of an (n, 2, 2) stack: Blelloch's work-efficient scan."""
     if len(m) == 1:
         return m
-    odd = _scan(m[1::2] @ m[0 : len(m) - 1 : 2])
+    odd = _scan(_mul(m[1::2], m[0 : len(m) - 1 : 2]))
     out = m.copy()
     out[1::2] = odd
-    out[2::2] = m[2::2] @ odd[: (len(m) - 1) // 2]
+    out[2::2] = _mul(m[2::2], odd[: (len(m) - 1) // 2])
     return out
 
 
@@ -85,8 +87,8 @@ def _product(h, edges, steps) -> np.ndarray:
         tm = edges[i] + (k - stop[i] + steps[i] + 0.5) * dts[i]
         m = _scan(_expm_matrix(as_coeffs(h(tm)), dts[i]))
         lo, hi = np.searchsorted(last, (start, k[-1] + 1))
-        m = m[np.append(last[lo:hi] - start, -1)] @ u
-        m = m @ (1.5 * ID2 - 0.5 * (m.conj().swapaxes(-1, -2) @ m))  # first-order polar projection
+        m = _mul(m[np.append(last[lo:hi] - start, -1)], u)
+        m = _mul(m, 1.5 * ID2 - 0.5 * _mul(m.conj().swapaxes(-1, -2), m))  # first-order polar projection
         ends.append(m[:-1])
         u = m[-1]
     return np.concatenate(ends)[np.cumsum(steps > 0)]

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cgmagnus import PauliCoeffs, expm_pauli
+
+# Every run draws the same examples and ignores the local .hypothesis/ database
+# (derandomize implies database=None); per-test settings still apply on top.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from cgmagnus.cli import load_config, main
+from cgmagnus.cli import _write_csv, load_config, main
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -66,6 +66,17 @@ def test_simulate_deterministic_bytes(tmp_path):
     first = out.read_bytes()
     main(["simulate", "--config", str(cfg), "--out", str(out)])
     assert out.read_bytes() == first
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path, rng):
+    cfg = load_config(str(write_cfg(tmp_path)))
+    edge = [0.0, -0.0, 1.0, 1e-300, 5e-324, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1e300]
+    rows = np.concatenate([np.reshape(edge, (-1, 2)), rng.uniform(0.0, 1.0, size=(7, 2))])
+    out = tmp_path / "t.csv"
+    _write_csv(str(out), cfg, ["a", "b"], rows)
+    lines = [f"# {line}\n" for line in cfg.effective_lines()] + ["a,b\n"]
+    lines += [",".join(f"{v:.12e}" for v in row) + "\n" for row in rows]
+    assert out.read_bytes() == "".join(lines).encode("utf-8")
 
 
 def test_effective_config_roundtrip(tmp_path):

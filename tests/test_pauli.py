@@ -182,3 +182,6 @@ def test_coeffs_arithmetic():
     assert 2 * a == PauliCoeffs(2, 4, 6, 8)
     assert (-a).c3 == -4
     assert a.vector_norm == math.sqrt(4 + 9 + 16)
+    assert isinstance(a.vector_norm, float)
+    stack = PauliCoeffs(0.0, np.array([3.0, 0.0]), 0.0, np.array([4.0, 2.0]))
+    np.testing.assert_array_equal(stack.vector_norm, [5.0, 2.0])

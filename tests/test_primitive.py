@@ -23,7 +23,7 @@ from cgmagnus import (
     min_fidelity,
 )
 from cgmagnus.cli import load_config, main
-from cgmagnus.pauli import ID2, _expm_matrix, as_coeffs
+from cgmagnus.pauli import ID2, _expm_matrix, _mul, as_coeffs
 from cgmagnus.propagation import _BLOCK, PropagationSpec, _scan, propagate, trajectory
 
 from conftest import random_unitary
@@ -115,6 +115,19 @@ def test_scan_matches_sequential_product(n, seed):
     for k in range(n):
         u = m[k] @ u
         assert np.abs(got[k] - u).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 2100), seed=st.integers(0, 2**32 - 1))
+def test_mul_matches_matmul(n, seed):
+    # Entries with |re|, |im| <= 1/2 keep every product entry within modulus 1.
+    re, im = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(2, 2, n, 2, 2))
+    a, b = re + 1j * im
+    for x, y in ((a, b), (a[0], b), (b, a[0]), (a[0], b[0])):
+        want = x @ y
+        got = _mul(x, y)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
 
 
 def test_trajectory_static_generator_is_exact():
