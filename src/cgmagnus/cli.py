@@ -23,12 +23,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AmplitudePole, ConfigError, ResonantStarkWarning
+from .errors import AmplitudePole, ConfigError, MagnusError, ResonantStarkWarning
 from .fidelity import min_fidelity
-from .magnus import h_eff_order2_analytic
+from .magnus import _MIN_DETUNING_TAU, h_eff_order2_analytic
 from .model import DriveParams, h_interaction, h_rw_interaction
 from .pauli import PauliCoeffs
-from .propagation import floquet_splitting, trajectory
+from .propagation import (
+    DEFAULT_STEPS_PER_PERIOD,
+    default_floquet_steps,
+    floquet_splitting,
+    trajectory,
+)
 from .shifts import (
     _RESONANCE_TOL,
     bloch_siegert_prime_shift,
@@ -57,7 +62,7 @@ class ScenarioConfig:
     tau_periods: float | None = None
     t_max_periods: float = 50.0
     samples: int = 500
-    steps_per_period: int = 200
+    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
     kappa: float = 5.0
     out: str | None = None
     seed: int | None = None
@@ -75,31 +80,19 @@ class ScenarioConfig:
 
     @property
     def tau(self) -> float | None:
-        if self.tau_periods is None:
-            return None
-        return self.tau_periods * _TWO_PI
+        return None if self.tau_periods is None else self.tau_periods * _TWO_PI
 
     def grid_periods(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max_periods, self.samples)
 
     def effective_lines(self) -> list[str]:
         """Round-trippable ``key = value`` lines of the effective config."""
-        values = {
-            "amplitude": repr(self.amplitude),
-            "epsilon": repr(self.epsilon),
-            "kappa": repr(self.kappa),
-            "models": ", ".join(self.models),
-            "samples": repr(self.samples),
-            "steps_per_period": repr(self.steps_per_period),
-            "t_max_periods": repr(self.t_max_periods),
-        }
-        if self.tau_periods is not None:
-            values["tau_periods"] = repr(self.tau_periods)
-        if self.out is not None:
-            values["out"] = self.out
-        if self.seed is not None:
-            values["seed"] = repr(self.seed)
-        return [f"{k} = {values[k]}" for k in sorted(values)]
+        values = {key: getattr(self, key) for key in _PARSERS if key != "delta"}
+        return [
+            f"{key} = {', '.join(value) if key == 'models' else value}"
+            for key, value in sorted(values.items())
+            if value is not None
+        ]
 
 
 def _parse_kv_file(path: str) -> dict:
@@ -120,108 +113,82 @@ def _parse_kv_file(path: str) -> dict:
     return raw
 
 
-def _to_float(raw: dict, key: str):
-    try:
-        return float(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {raw[key]!r}") from exc
+def _parse_models(text: str) -> tuple:
+    names = [name.strip().lower() for name in text.split(",")]
+    for name in names:
+        if name and name not in KNOWN_MODELS:
+            raise ConfigError(f"models: unknown model {name!r}")
+    return tuple(dict.fromkeys(name for name in names if name and name != "exact"))
 
 
-def _to_int(raw: dict, key: str):
+# Every config key with its parser; the defaults are the ScenarioConfig fields.
+# ``delta`` is the one alias: it sets epsilon = 1 + delta and is never echoed.
+_PARSERS = {
+    "epsilon": float,
+    "delta": float,
+    "amplitude": float,
+    "models": _parse_models,
+    "tau_periods": float,
+    "t_max_periods": float,
+    "samples": int,
+    "steps_per_period": int,
+    "kappa": float,
+    "out": str,
+    "seed": int,
+}
+
+
+def _parse(key: str, text: str):
+    parse = _PARSERS[key]
     try:
-        return int(raw[key])
+        return parse(text)
     except ValueError as exc:
-        raise ConfigError(f"{key}: not an integer: {raw[key]!r}") from exc
+        kind = "an integer" if parse is int else "a number"
+        raise ConfigError(f"{key}: not {kind}: {text!r}") from exc
 
 
 def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
     """Parse and validate a scenario config file, applying flag overrides."""
     raw = _parse_kv_file(path)
-    known = {
-        "epsilon",
-        "delta",
-        "amplitude",
-        "models",
-        "tau_periods",
-        "t_max_periods",
-        "samples",
-        "steps_per_period",
-        "kappa",
-        "out",
-        "seed",
-    }
     for key in raw:
-        if key not in known:
+        if key not in _PARSERS:
             raise ConfigError(f"{key}: unknown config key")
-
-    if "epsilon" in raw and "delta" in raw:
-        eps = _to_float(raw, "epsilon")
-        if abs(eps - (1.0 + _to_float(raw, "delta"))) > 1e-12:
-            raise ConfigError("epsilon: inconsistent with delta (epsilon = 1 + delta)")
-    elif "epsilon" in raw:
-        eps = _to_float(raw, "epsilon")
-    elif "delta" in raw:
-        eps = 1.0 + _to_float(raw, "delta")
-    else:
+    if "epsilon" not in raw and "delta" not in raw:
         raise ConfigError("epsilon: required (or give delta)")
-
-    if "amplitude" not in raw:
-        raise ConfigError("amplitude: required")
-
-    if "models" not in raw:
-        raise ConfigError("models: required")
-    models = []
-    for name in raw["models"].split(","):
-        name = name.strip().lower()
-        if not name:
-            continue
-        if name not in KNOWN_MODELS:
-            raise ConfigError(f"models: unknown model {name!r}")
-        if name != "exact" and name not in models:
-            models.append(name)
-
-    cfg = ScenarioConfig(
-        epsilon=eps,
-        amplitude=_to_float(raw, "amplitude"),
-        models=tuple(models),
-        tau_periods=_to_float(raw, "tau_periods") if "tau_periods" in raw else None,
-        t_max_periods=_to_float(raw, "t_max_periods") if "t_max_periods" in raw else 50.0,
-        samples=_to_int(raw, "samples") if "samples" in raw else 500,
-        steps_per_period=_to_int(raw, "steps_per_period") if "steps_per_period" in raw else 200,
-        kappa=_to_float(raw, "kappa") if "kappa" in raw else 5.0,
-        out=raw.get("out"),
-        seed=_to_int(raw, "seed") if "seed" in raw else None,
-    )
-    if overrides:
-        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    for key in ("amplitude", "models"):
+        if key not in raw:
+            raise ConfigError(f"{key}: required")
+    values = {key: _parse(key, text) for key, text in raw.items()}
+    if "delta" in values:
+        eps = 1.0 + values.pop("delta")
+        if abs(values.setdefault("epsilon", eps) - eps) > 1e-12:
+            raise ConfigError("epsilon: inconsistent with delta (epsilon = 1 + delta)")
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    cfg = replace(ScenarioConfig(**values), **overrides)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ScenarioConfig) -> None:
-    if not 0 < cfg.epsilon < math.inf:
-        raise ConfigError(f"epsilon: must be finite and > 0, got {cfg.epsilon}")
+    for key in ("epsilon", "tau_periods", "t_max_periods", "kappa"):
+        value = getattr(cfg, key)
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"{key}: must be finite and > 0, got {value}")
     if not 0 <= cfg.amplitude < math.inf:
         raise ConfigError(f"amplitude: must be finite and >= 0, got {cfg.amplitude}")
     if not cfg.models:
         raise ConfigError("models: at least one model besides 'exact' is required")
-    if cfg.tau_periods is not None and not 0 < cfg.tau_periods < math.inf:
-        raise ConfigError(f"tau_periods: must be finite and > 0, got {cfg.tau_periods}")
-    if not 0 < cfg.t_max_periods < math.inf:
-        raise ConfigError(f"t_max_periods: must be finite and > 0, got {cfg.t_max_periods}")
     if cfg.samples < 2:
         raise ConfigError(f"samples: must be >= 2, got {cfg.samples}")
     if cfg.steps_per_period < 1:
         raise ConfigError(f"steps_per_period: must be >= 1, got {cfg.steps_per_period}")
-    if not 0 < cfg.kappa < math.inf:
-        raise ConfigError(f"kappa: must be finite and > 0, got {cfg.kappa}")
     for name in cfg.models:
         if name in RESONANT_ONLY_MODELS and not cfg.is_resonant:
             raise ConfigError(f"models: {name} requires delta = 0, got delta = {cfg.delta}")
     if "magnus2" in cfg.models:
         if cfg.tau_periods is None:
             raise ConfigError("tau_periods: required by the magnus2 model")
-        if abs(cfg.delta) * cfg.tau < 1e-6:
+        if abs(cfg.delta) * cfg.tau < _MIN_DETUNING_TAU:
             raise ConfigError(
                 "models: magnus2 needs |delta|*tau >= 1e-6; use resonant_magnus at resonance"
             )
@@ -245,8 +212,7 @@ def _run_simulation(cfg: ScenarioConfig):
     p = cfg.drive()
     periods = cfg.grid_periods()
     grid = periods * _TWO_PI
-    shortest = min(_TWO_PI, _TWO_PI / (p.epsilon + 1.0))
-    dt = shortest / cfg.steps_per_period
+    dt = _TWO_PI / (p.epsilon + 1.0) / cfg.steps_per_period  # per shortest period, omega = 1
     u_exact = trajectory(lambda t: h_interaction(t, p), grid, dt)
 
     columns = [periods]
@@ -290,27 +256,17 @@ def cmd_simulate(cfg: ScenarioConfig, strict_regime: bool = False) -> int:
 
 
 def _regime_bounds(cfg: ScenarioConfig):
-    """(lower bounds, upper bounds) on tau for the scenario's regime case."""
-    p = cfg.drive()
-    w = p.amplitude
-    if _regime_case(cfg) == "dispersive":
-        lowers = [math.pi / p.omega, _TWO_PI / (p.omega + p.epsilon)]
-        if abs(p.detuning) > 0:
-            lowers.append(_TWO_PI / abs(p.detuning))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResonantStarkWarning)
-            s_rw = stark_shift(p)
-        uppers = [_TWO_PI / abs(s_rw)] if math.isfinite(s_rw) and s_rw != 0 else []
-    else:
-        lowers = [_TWO_PI / (2.0 * p.omega - w)] if w < 2.0 * p.omega else []
-        uppers = [_TWO_PI / w] if w > 0 else []
-        try:
-            s_prime = bloch_siegert_prime_shift(p)
-            if s_prime > 0:
-                uppers.append(_TWO_PI / s_prime)
-        except AmplitudePole:
-            pass
-    return lowers, uppers
+    """(lower bounds, upper bounds) on tau where the regime ratios reach 1.
+
+    Relies on every ratio of validate_regime being proportional to tau, to
+    1/tau or to tau**0: its values at tau = 1 and 2 tell which.  A growing
+    ratio reaches 1 at tau = 1/value(1), a shrinking one at tau = value(1).
+    A constant, non-positive, infinite or nan value bounds nothing.
+    """
+    one, two = (validate_regime(cfg.drive(), tau, _regime_case(cfg), cfg.kappa).checks
+                for tau in (1.0, 2.0))
+    values = [(a.value, b.value) for a, b in zip(one, two) if 0 < a.value < math.inf]
+    return [1.0 / v1 for v1, v2 in values if v2 > v1], [v1 for v1, v2 in values if v2 < v1]
 
 
 def cmd_regime(cfg: ScenarioConfig) -> int:
@@ -371,8 +327,7 @@ def cmd_shifts(cfg: ScenarioConfig) -> int:
     except AmplitudePole:
         pred = None
         rows.append(("S_bs' (off-diagonal Bloch-Siegert)", math.nan, " (amplitude at/beyond the 2*omega pole)"))
-    steps = max(1, math.ceil(cfg.steps_per_period * (p.epsilon + p.omega) / p.omega))
-    fl = floquet_splitting(p, steps=steps)
+    fl = floquet_splitting(p, steps=default_floquet_steps(p, cfg.steps_per_period))
     rows.append(("floquet splitting (monodromy)", fl, ""))
     if pred is not None:
         rows.append(("|floquet - resonant prediction|", abs(fl - pred), ""))
@@ -397,16 +352,20 @@ def _read_external_csv(path: str):
         raise ConfigError("external: CSV needs 't_over_period' and 'fidelity' columns")
     it = header.index("t_over_period")
     if_ = header.index("fidelity")
-    ts, fs = [], []
+    rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
         try:
-            ts.append(float(parts[it]))
-            fs.append(float(parts[if_]))
+            rows.append((float(parts[it]), float(parts[if_])))
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"external: malformed row {ln!r}") from exc
+        if not np.isfinite(rows[-1]).all():
+            raise ConfigError(f"external: non-finite value in row {ln!r}")
+    if not rows:
+        raise ConfigError("external: CSV has no data rows")
+    ts, fs = np.array(rows).T
     order = np.argsort(ts)
-    return np.asarray(ts)[order], np.asarray(fs)[order]
+    return ts[order], fs[order]
 
 
 def cmd_compare_external(cfg: ScenarioConfig, external_path: str) -> int:
@@ -461,12 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        "out": args.out,
-        "kappa": args.kappa,
-        "steps_per_period": args.steps_per_period,
-        "seed": args.seed,
-    }
+    overrides = {key: getattr(args, key) for key in ("out", "kappa", "steps_per_period", "seed")}
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "simulate":
@@ -475,11 +429,12 @@ def main(argv=None) -> int:
             return cmd_regime(cfg)
         if args.command == "shifts":
             return cmd_shifts(cfg)
-        if args.command == "compare-external":
-            return cmd_compare_external(cfg, args.external)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_compare_external(cfg, args.external)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MagnusError as exc:  # e.g. AmplitudePole or NotUnitary from the library
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

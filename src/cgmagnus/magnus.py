@@ -50,6 +50,10 @@ _HERMITIAN_RESIDUAL_TOL = 1e-8
 # Switch to the Taylor branch of sin(x)/x below this |x|.
 _SINC_TAYLOR = 1e-4
 
+# Below this |delta|*tau the second-order closed form is singular; the
+# resonant forms apply instead.
+_MIN_DETUNING_TAU = 1e-6
+
 
 def sinc(x: float) -> float:
     """sin(x)/x with sinc(0) = 1 (unnormalized, unlike numpy.sinc)."""
@@ -209,7 +213,7 @@ def h_eff2_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
     _check_tau(tau)
     d = p.detuning
     b = p.epsilon + p.omega
-    if abs(d) * tau < 1e-6:
+    if abs(d) * tau < _MIN_DETUNING_TAU:
         raise DetuningSingularity(
             f"|delta|*tau = {abs(d) * tau:.3e} < 1e-6; use the resonant forms"
         )

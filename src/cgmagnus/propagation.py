@@ -32,6 +32,7 @@ __all__ = [
     "default_floquet_steps",
 ]
 
+# Steps per shortest period 2 pi/(epsilon + omega); the CLI's default too.
 DEFAULT_STEPS_PER_PERIOD = 200
 
 # Steps exponentiated and multiplied per batch; bounds the batch memory.
@@ -163,10 +164,9 @@ def frame_transform(
     return Unitary2(l_to.conj().T @ l_from @ u.matrix)
 
 
-def default_floquet_steps(p: DriveParams) -> int:
-    """Step count giving DEFAULT_STEPS_PER_PERIOD per shortest period over one drive period."""
-    shortest = min(2.0 * math.pi / p.omega, 2.0 * math.pi / (p.epsilon + p.omega))
-    return max(1, math.ceil(DEFAULT_STEPS_PER_PERIOD * p.drive_period / shortest))
+def default_floquet_steps(p: DriveParams, steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> int:
+    """Steps over one drive period, steps_per_period per shortest period 2 pi/(epsilon + omega)."""
+    return math.ceil(steps_per_period * (p.epsilon + p.omega) / p.omega)
 
 
 def floquet_splitting(p: DriveParams, steps: int | None = None) -> float:

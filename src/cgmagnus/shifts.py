@@ -248,6 +248,9 @@ def validate_regime(
     def add(name: str, formula: str, value: float) -> None:
         checks.append(RatioCheck(name, formula, value, value >= kappa))
 
+    def window(rate_tau: float) -> float:  # 2 pi / (rate * tau); inf for a zero rate
+        return two_pi / rate_tau if rate_tau else math.inf
+
     if case == "dispersive":
         add("fast_drive", "tau*omega/pi", tau * p.omega / math.pi)
         add(
@@ -259,21 +262,18 @@ def validate_regime(
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResonantStarkWarning)
             s_rw = stark_shift(p)
-        add("stark_window", "2*pi/(S_rw*tau)", two_pi / (abs(s_rw) * tau))
+        add("stark_window", "2*pi/(S_rw*tau)", window(abs(s_rw) * tau))
     else:
-        add("rabi_window", "2*pi/(W*tau)", two_pi / (w * tau) if w > 0 else math.inf)
+        add("rabi_window", "2*pi/(W*tau)", window(w * tau))
         add(
             "fast_counterrotating",
             "tau*(2*omega-W)/(2*pi)",
             tau * (2.0 * p.omega - w) / two_pi,
         )
-        if w >= 2.0 * p.omega:
-            prime_ratio = math.nan  # at/beyond the pole; nan never passes
-        elif w > 0:
-            prime_ratio = two_pi / (bloch_siegert_prime_shift(p) * tau)
-        else:
-            prime_ratio = math.inf
-        add("prime_window", "2*pi/(S_bs'*tau)", prime_ratio)
+        # At/beyond the pole the ratio is nan, which never passes.
+        pole = w >= 2.0 * p.omega
+        add("prime_window", "2*pi/(S_bs'*tau)",
+            math.nan if pole else window(bloch_siegert_prime_shift(p) * tau))
         # The self-consistency bound on the amplitude; the cube root pairs the
         # off-diagonal-shift window with the counterrotating one.
         add("consistency", "(W/omega)*32^(1/3)", (w / p.omega) * 32.0 ** (1.0 / 3.0))

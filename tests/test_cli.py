@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +116,7 @@ def test_effective_config_roundtrip(tmp_path):
         ({"epsilon": "inf"}, "epsilon"),
         ({"tau_periods": "inf"}, "tau_periods"),
         ({"t_max_periods": "inf"}, "t_max_periods"),
+        ({"epsilon": "1.0", "amplitude": "2.0", "models": "resonant_magnus"}, "amplitude"),
     ],
 )
 def test_config_validation_exit_2(tmp_path, capsys, overrides, field):
@@ -121,6 +124,64 @@ def test_config_validation_exit_2(tmp_path, capsys, overrides, field):
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides,name",
+    [
+        ({"epsilon": "1.0", "amplitude": "2.0", "models": "resonant_magnus"}, "AmplitudePole"),
+        ({"amplitude": "1e200", "models": "rwa"}, "NotUnitary"),
+    ],
+)
+def test_library_error_exits_2_with_one_line(tmp_path, capsys, overrides, name):
+    cfg = write_cfg(tmp_path, **overrides)
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and name in err and "Traceback" not in err
+
+
+def test_zero_amplitude_regime_checks_exit_0(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, amplitude="0", models="rwa")
+    assert main(["regime", "--config", str(cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out.split("json: ", 1)[1])
+    assert payload["overall"] is True
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--strict-regime"]) == 0
+    assert out.exists()
+
+
+def test_readme_config_block_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("## Command-line interface", 1)[1]
+    block = cli_section.split("```\n", 2)[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block, encoding="utf-8")
+    cfg = load_config(str(path))
+    assert (cfg.epsilon, cfg.amplitude, cfg.tau_periods) == (4.0, 0.5, 5.0)
+    assert cfg.models == ("magnus2", "rwa")
+    assert (cfg.t_max_periods, cfg.samples, cfg.out) == (50.0, 500, "fidelities.csv")
+
+
+def test_effective_lines_every_optional_field(tmp_path):
+    path = tmp_path / "all.cfg"
+    path.write_text(
+        "delta = 3.0\namplitude = 0.5\nmodels = rwa, exact, magnus2, RWA\n"
+        "tau_periods = 5\nout = runs/a#1.csv\nseed = 7\n",
+        encoding="utf-8",
+    )
+    assert load_config(str(path)).effective_lines() == [
+        "amplitude = 0.5",
+        "epsilon = 4.0",
+        "kappa = 5.0",
+        "models = rwa, magnus2",
+        "out = runs/a#1.csv",
+        "samples = 500",
+        "seed = 7",
+        "steps_per_period = 200",
+        "t_max_periods = 50.0",
+        "tau_periods = 5.0",
+    ]
 
 
 def test_delta_alone_sets_epsilon(tmp_path):
@@ -184,6 +245,41 @@ def test_regime_resonant_consistency_warn(tmp_path, capsys):
     values = {c["name"]: c for c in payload["checks"]}
     assert values["consistency"]["value"] == pytest.approx(0.1 * 32 ** (1 / 3))
     assert values["consistency"]["passes"] is False
+
+
+TWO_PI = 2.0 * math.pi
+
+
+@pytest.mark.parametrize(
+    "epsilon,amplitude,lo,hi",
+    [
+        # dispersive: max(pi, 2 pi/(1 + eps), 2 pi/|delta|) and 2 pi/|S_rw|
+        (4.0, 0.5, math.pi, TWO_PI / (0.25 / 6.0)),
+        (0.3, 0.1, TWO_PI / 0.7, TWO_PI / (0.01 / 1.4)),
+        # resonant: 2 pi/(2 - W) and min(2 pi/W, 2 pi/S_bs')
+        (1.0, 0.02, TWO_PI / 1.98, TWO_PI / 0.02),
+        (1.0, 1.9, TWO_PI / 0.1, TWO_PI * 16.0 * (1.0 - 1.9**2 / 4.0) / 1.9**3),
+    ],
+)
+def test_regime_sweep_band_matches_closed_form(tmp_path, capsys, epsilon, amplitude, lo, hi):
+    cfg = write_cfg(tmp_path, epsilon=str(epsilon), amplitude=str(amplitude),
+                    tau_periods=None, models="rwa")
+    assert main(["regime", "--config", str(cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out.split("json: ", 1)[1])
+    sweep = [r["tau"] for r in payload["sweep"]]
+    assert (sweep[0], sweep[-1]) == (pytest.approx(lo, rel=1e-14), pytest.approx(hi, rel=1e-14))
+    if 5.0 * lo <= hi / 5.0:
+        assert payload["feasible_band"] == pytest.approx([5.0 * lo, hi / 5.0], rel=1e-14)
+    else:
+        assert payload["feasible_band"] is None
+
+
+@pytest.mark.parametrize("epsilon,amplitude", [(4.0, 0.0), (1.0, 0.0), (1.0, 2.5)])
+def test_regime_sweep_without_finite_window(tmp_path, capsys, epsilon, amplitude):
+    cfg = write_cfg(tmp_path, epsilon=str(epsilon), amplitude=str(amplitude),
+                    tau_periods=None, models="rwa")
+    assert main(["regime", "--config", str(cfg)]) == 0
+    assert "no finite tau window" in capsys.readouterr().out
 
 
 def test_shifts_table_dispersive(tmp_path, capsys):
@@ -271,6 +367,21 @@ def test_compare_external_range_violation_exit_2(tmp_path, capsys):
                "--out", str(tmp_path / "m.csv")])
     assert rc == 2
     assert "cover" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows", ["0,1\nnan,0.5\n", "0,1\n5,inf\n", "0,nan\n5,1\n", ""]
+)
+def test_compare_external_rejects_non_finite_and_empty(tmp_path, capsys, rows):
+    cfg = write_cfg(tmp_path, samples="9", t_max_periods="4")
+    ext = tmp_path / "ext.csv"
+    ext.write_text("t_over_period,fidelity\n" + rows, encoding="utf-8")
+    out = tmp_path / "m.csv"
+    rc = main(["compare-external", "--config", str(cfg), "--external", str(ext),
+               "--out", str(out)])
+    assert rc == 2
+    assert "external" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_external_missing_columns_exit_2(tmp_path, capsys):

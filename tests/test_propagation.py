@@ -184,6 +184,13 @@ def test_floquet_matches_resonant_prediction_small_drive():
     assert abs(gap - resonant_splitting(p)) < 5e-4
 
 
+def test_default_floquet_steps_per_shortest_period():
+    # 200 steps per period 2 pi/1.01 over one drive period is exactly 202 steps
+    assert default_floquet_steps(DriveParams(0.01, 1.0, 0.5)) == 202
+    assert default_floquet_steps(DISPERSIVE) == 1000
+    assert default_floquet_steps(DISPERSIVE, steps_per_period=7) == 35
+
+
 def test_floquet_invariant_under_time_origin_shift(rng):
     p = DISPERSIVE
     period = p.drive_period

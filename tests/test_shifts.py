@@ -217,6 +217,11 @@ def test_regime_never_raises_and_validates_inputs():
     p = DriveParams(epsilon=1.0, omega=1.0, amplitude=2.5)  # beyond the pole
     report = validate_regime(p, 3.0, "resonant")
     assert report.checks  # reported, not raised
+    # zero amplitude: the Stark, Rabi and prime windows are infinite, not a division by zero
+    for case in ("dispersive", "resonant"):
+        for check in validate_regime(DriveParams(4.0, 1.0, 0.0), 3.0, case).checks:
+            if check.name.endswith("_window"):
+                assert check.value == math.inf and check.passes
     with pytest.raises(ValueError):
         validate_regime(DISPERSIVE, -1.0, "dispersive")
     with pytest.raises(ValueError):
