@@ -51,6 +51,9 @@ RESONANT_ONLY_MODELS = ("resonant_magnus",)
 
 _TWO_PI = 2.0 * math.pi
 
+_MAX_STEPS = 10**7  # samples or steps; a larger run fails at once, not after hours
+_MAX_AMPLITUDE = 1e6  # W/omega, far past every model; W^2/delta stays finite squared
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -174,14 +177,17 @@ def _validate(cfg: ScenarioConfig) -> None:
         value = getattr(cfg, key)
         if value is not None and not 0 < value < math.inf:
             raise ConfigError(f"{key}: must be finite and > 0, got {value}")
-    if not 0 <= cfg.amplitude < math.inf:
-        raise ConfigError(f"amplitude: must be finite and >= 0, got {cfg.amplitude}")
+    if not 0 <= cfg.amplitude <= _MAX_AMPLITUDE:
+        raise ConfigError(f"amplitude: must be in [0, {_MAX_AMPLITUDE:g}], got {cfg.amplitude}")
     if not cfg.models:
         raise ConfigError("models: at least one model besides 'exact' is required")
-    if cfg.samples < 2:
-        raise ConfigError(f"samples: must be >= 2, got {cfg.samples}")
-    if cfg.steps_per_period < 1:
-        raise ConfigError(f"steps_per_period: must be >= 1, got {cfg.steps_per_period}")
+    if not 2 <= cfg.samples <= _MAX_STEPS:
+        raise ConfigError(f"samples: must be in [2, {_MAX_STEPS}], got {cfg.samples}")
+    if not 1 <= cfg.steps_per_period <= _MAX_STEPS:
+        raise ConfigError(f"steps_per_period: must be in [1, {_MAX_STEPS}], got {cfg.steps_per_period}")
+    steps = max(cfg.t_max_periods, 1.0) * (cfg.epsilon + 1.0) * cfg.steps_per_period
+    if not steps <= _MAX_STEPS:  # simulate's steps, or one Floquet period of shifts
+        raise ConfigError(f"steps_per_period: max(t_max_periods, 1)*(epsilon+1)*steps_per_period = {steps:.4g} exceeds {_MAX_STEPS}")
     for name in cfg.models:
         if name in RESONANT_ONLY_MODELS and not cfg.is_resonant:
             raise ConfigError(f"models: {name} requires delta = 0, got delta = {cfg.delta}")

@@ -72,14 +72,15 @@ def min_fidelity_bruteforce(u, u_eff, grid_n: int = 100) -> float:
     v = a.conj().T @ b
     theta = np.linspace(0.0, math.pi, grid_n | 1)
     phi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
-    ct = np.cos(0.5 * theta)[:, None] * np.ones_like(phi)[None, :]
-    st = np.sin(0.5 * theta)[:, None] * np.exp(1j * phi)[None, :]
-    # <psi|V|psi> evaluated for the whole grid at once.
-    amp = (
-        np.conj(ct) * (v[0, 0] * ct + v[0, 1] * st)
-        + np.conj(st) * (v[1, 0] * ct + v[1, 1] * st)
-    )
-    return float(np.abs(amp).min() ** 2)
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    # <psi|V|psi> = diag(theta) + c s off(phi), evaluated for the whole grid at
+    # once in real arithmetic: the float grids stay under malloc's 128 KiB mmap
+    # threshold at the default size, so repeated calls fault no fresh pages.
+    diag = c * c * v[0, 0] + s * s * v[1, 1]
+    off = np.exp(1j * phi) * v[0, 1] + np.exp(-1j * phi) * v[1, 0]
+    re = diag.real[:, None] + (c * s)[:, None] * off.real
+    im = diag.imag[:, None] + (c * s)[:, None] * off.imag
+    return float((re * re + im * im).min())
 
 
 def fidelity_series(

@@ -138,8 +138,8 @@ def u_x(t: float, p: DriveParams) -> np.ndarray:
     at resonance; away from resonance its instantaneous value at ``t`` is used.
     Callers relying on the bar frame enforce delta = 0.
     """
-    a = _expm_matrix(h0_coeffs(p), t)
-    b = _expm_matrix(h_rw_interaction(t, p), t)
+    a = np.moveaxis(_expm_matrix(h0_coeffs(p), t), (0, 1), (-2, -1))
+    b = np.moveaxis(_expm_matrix(h_rw_interaction(t, p), t), (0, 1), (-2, -1))
     return a @ b
 
 

@@ -168,7 +168,8 @@ class Unitary2:
 def _expm_matrix(p: PauliCoeffs, dt) -> np.ndarray:
     """exp(-i * compose(p) * dt) as a raw ndarray, via the SU(2) closed form.
 
-    Array fields of ``p`` or an array ``dt`` broadcast to a (..., 2, 2) stack.
+    Array fields of ``p`` or an array ``dt`` broadcast to a (2, 2, ...) stack,
+    matrix axes first; ``np.moveaxis(m, (0, 1), (-2, -1))`` views it as (..., 2, 2).
     """
     r = np.sqrt(p.c1 * p.c1 + p.c2 * p.c2 + p.c3 * p.c3)
     x = r * dt
@@ -176,17 +177,17 @@ def _expm_matrix(p: PauliCoeffs, dt) -> np.ndarray:
     c = phase * np.cos(x)
     # phase * -i sin(r dt) / r; at r = 0 it multiplies only zero coefficients.
     f = phase * (-1j * (np.sin(x) / np.maximum(r, _TINY)))
-    out = np.empty(c.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c + f * p.c3
-    out[..., 0, 1] = f * (p.c1 - 1j * p.c2)
-    out[..., 1, 0] = f * (p.c1 + 1j * p.c2)
-    out[..., 1, 1] = c - f * p.c3
+    out = np.empty((2, 2) + c.shape, dtype=complex)
+    out[0, 0] = c + f * p.c3
+    out[0, 1] = f * (p.c1 - 1j * p.c2)
+    out[1, 0] = f * (p.c1 + 1j * p.c2)
+    out[1, 1] = c - f * p.c3
     return out
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2x2 matrices or broadcastable (..., 2, 2) stacks, as two outer products."""
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+    """a @ b for 2x2 matrices or broadcastable (2, 2, ...) stacks, as two outer products."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
 
 
 def expm_pauli(p: PauliCoeffs, dt: float) -> Unitary2:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -210,15 +210,7 @@ class RegimeReport:
             "case": self.case,
             "kappa": self.kappa,
             "overall": self.overall,
-            "checks": [
-                {
-                    "name": c.name,
-                    "formula": c.formula,
-                    "value": c.value,
-                    "passes": c.passes,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 

@@ -1,12 +1,13 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cgmagnus.cli import _write_csv, load_config, main
+from cgmagnus.cli import _MAX_AMPLITUDE, _MAX_STEPS, _write_csv, load_config, main
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -117,6 +118,11 @@ def test_effective_config_roundtrip(tmp_path):
         ({"tau_periods": "inf"}, "tau_periods"),
         ({"t_max_periods": "inf"}, "t_max_periods"),
         ({"epsilon": "1.0", "amplitude": "2.0", "models": "resonant_magnus"}, "amplitude"),
+        ({"samples": "100000000000"}, "samples"),
+        ({"steps_per_period": "1000000000000"}, "steps_per_period"),
+        ({"amplitude": "1e200", "models": "rwa"}, "amplitude"),  # was NotUnitary after overflow
+        ({"t_max_periods": "1e9"}, "t_max_periods"),
+        ({"epsilon": "1e300"}, "epsilon"),
     ],
 )
 def test_config_validation_exit_2(tmp_path, capsys, overrides, field):
@@ -130,7 +136,6 @@ def test_config_validation_exit_2(tmp_path, capsys, overrides, field):
     "overrides,name",
     [
         ({"epsilon": "1.0", "amplitude": "2.0", "models": "resonant_magnus"}, "AmplitudePole"),
-        ({"amplitude": "1e200", "models": "rwa"}, "NotUnitary"),
     ],
 )
 def test_library_error_exits_2_with_one_line(tmp_path, capsys, overrides, name):
@@ -139,6 +144,40 @@ def test_library_error_exits_2_with_one_line(tmp_path, capsys, overrides, name):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "regime", "shifts"])
+def test_amplitude_range_edge(tmp_path, capsys, command):
+    edge = write_cfg(tmp_path, amplitude=repr(_MAX_AMPLITUDE), models="magnus2, rwa, rwa_bs")
+    beyond = write_cfg(tmp_path, "b.cfg", amplitude=repr(np.nextafter(_MAX_AMPLITUDE, math.inf)))
+    out = str(tmp_path / "x.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning at the edge or before the exit
+        assert main([command, "--config", str(edge), "--out", out]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(beyond), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "amplitude" in err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"steps_per_period": "1000000000000"},
+        {"steps_per_period": "5000000", "t_max_periods": "0.01"},  # one period: 2.5e7 steps
+    ],
+)
+def test_shifts_floquet_steps_bound_exits_2(tmp_path, capsys, overrides):
+    cfg = write_cfg(tmp_path, models="rwa", **overrides)
+    assert main(["shifts", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "steps_per_period" in err
+
+
+def test_run_size_bound_edge_is_accepted(tmp_path):
+    # epsilon = 4 and one period: exactly _MAX_STEPS steps.
+    cfg = write_cfg(tmp_path, t_max_periods="1", steps_per_period=str(_MAX_STEPS // 5))
+    assert load_config(str(cfg)).steps_per_period == _MAX_STEPS // 5
 
 
 def test_zero_amplitude_regime_checks_exit_0(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgmagnus import (
     DriveParams,
@@ -47,6 +48,19 @@ def test_unitary_invariance(rng):
     for _ in range(5):
         w = random_unitary(rng)
         assert abs(min_fidelity(w @ u, w @ v) - base) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_min_fidelity_invariant_under_common_unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    u, v, w = (np.array([random_unitary(rng) for _ in range(n)]) for _ in range(3))
+    base = min_fidelity(u, v)
+    assert base.shape == (n,)
+    for a, b in ((w @ u, w @ v), (w[0] @ u, w[0] @ v)):  # one W per pair, one W for all
+        np.testing.assert_allclose(min_fidelity(a, b), base, rtol=0, atol=1e-12)
+    for k in range(n):  # single matrices
+        assert abs(min_fidelity(w[k] @ u[k], w[k] @ v[k]) - base[k]) <= 1e-12
 
 
 def test_rejects_non_unitary():

@@ -82,6 +82,30 @@ def test_trajectory_matches_chained_propagate():
         assert np.abs(g - u).max() <= 1e-12
 
 
+@pytest.mark.parametrize("small", [1, 7])
+def test_trajectory_ragged_grid_matches_scalar_loop(small):
+    # About 200 short gaps around one gap of 3000 steps, with repeated and zero
+    # gaps: short intervals set the row width, so the long one spans many rows
+    # (a padded last row when small = 7) and crosses chunk boundaries.
+    h = lambda t: h_interaction(t, DISPERSIVE)
+    dt = 0.011
+    gaps = np.full(203, (small - 0.5) * dt)
+    gaps[[0, 40, 41, 150]] = 0.0
+    gaps[97] = 2999.5 * dt
+    ts = np.cumsum(gaps)
+    sizes = []
+    got = trajectory(lambda t: sizes.append(np.size(t)) or h(t), ts, dt)
+    u, t_prev, total = ID2, 0.0, 0
+    for t, g in zip(ts, got):
+        if t > t_prev:
+            steps = max(1, math.ceil((t - t_prev) / dt))
+            u = midpoint_reference(h, t_prev, t, steps) @ u
+            t_prev, total = t, total + steps
+        assert np.abs(g - u).max() <= 1e-12
+    assert max(sizes) <= _BLOCK
+    assert sum(sizes) == total == 3000 + 198 * small
+
+
 def test_trajectory_empty_and_all_zero_grids():
     h = lambda t: h_interaction(t, DISPERSIVE)
     assert trajectory(h, [], 0.1).shape == (0, 2, 2)
@@ -109,22 +133,22 @@ def test_array_generators_match_scalar_calls(name, ts):
 @given(n=st.integers(1, 2100), seed=st.integers(0, 2**32 - 1))
 def test_scan_matches_sequential_product(n, seed):
     c = np.random.default_rng(seed).normal(size=(4, n))
-    m = _expm_matrix(PauliCoeffs(*c), 0.7)
+    m = _expm_matrix(PauliCoeffs(*c), 0.7)  # matrix axes first, (2, 2, n)
     got = _scan(m)
     u = ID2
     for k in range(n):
-        u = m[k] @ u
-        assert np.abs(got[k] - u).max() <= 1e-12
+        u = m[..., k] @ u
+        assert np.abs(got[..., k] - u).max() <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 2100), seed=st.integers(0, 2**32 - 1))
 def test_mul_matches_matmul(n, seed):
     # Entries with |re|, |im| <= 1/2 keep every product entry within modulus 1.
-    re, im = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(2, 2, n, 2, 2))
-    a, b = re + 1j * im
-    for x, y in ((a, b), (a[0], b), (b, a[0]), (a[0], b[0])):
-        want = x @ y
+    re, im = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(2, 2, 2, 2, n))
+    a, b = re + 1j * im  # matrix axes first, (2, 2, n); a single matrix broadcasts as (2, 2, 1)
+    for x, y in ((a, b), (a[..., :1], b), (b, a[..., :1]), (a[..., 0], b[..., 0])):
+        want = np.moveaxis(np.moveaxis(x, (0, 1), (-2, -1)) @ np.moveaxis(y, (0, 1), (-2, -1)), (-2, -1), (0, 1))
         got = _mul(x, y)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15
@@ -159,8 +183,8 @@ def test_stacked_expm_matches_scalar_rows(rng):
     c[5, :] = 0.0
     dt = rng.normal(size=50) * 5.0
     got = _expm_matrix(PauliCoeffs(*c.T), dt)
-    assert got.shape == (50, 2, 2)
-    for row, d, g in zip(c, dt, got):
+    assert got.shape == (2, 2, 50)
+    for row, d, g in zip(c, dt, np.moveaxis(got, -1, 0)):
         assert np.abs(g - _expm_matrix(PauliCoeffs(*row.tolist()), float(d))).max() <= 1e-12
 
 
@@ -188,6 +212,10 @@ def test_simulate_evaluates_exact_generator_once_per_step(tmp_path, monkeypatch)
     loaded = load_config(str(cfg))
     grid = loaded.grid_periods() * 2.0 * math.pi
     dt = 2.0 * math.pi / 5.0 / loaded.steps_per_period
-    steps = sum(max(1, math.ceil((t1 - t0) / dt)) for t0, t1 in zip(grid, grid[1:]))
+    counts = [max(1, math.ceil((t1 - t0) / dt)) for t0, t1 in zip(grid, grid[1:])]
+    steps = sum(counts)
     assert sum(np.size(t) for t in calls) == steps
-    assert len(calls) == math.ceil(steps / _BLOCK)
+    # One call per chunk of _BLOCK // w rows of w steps, w the capped lower median.
+    w = min(sorted(counts)[(len(counts) - 1) // 2], _BLOCK)
+    rows = sum(math.ceil(c / w) for c in counts)
+    assert len(calls) == math.ceil(rows / (_BLOCK // w))

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgmagnus import (
     DegenerateSplittingWarning,
@@ -144,6 +146,22 @@ def test_frame_transform_composition(rng):
     )
     direct = frame_transform(u, Frame.INTERACTION, Frame.LAB, t, RESONANT)
     np.testing.assert_allclose(via.matrix, direct.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("a,b,c", list(itertools.product(Frame, repeat=3)))
+@settings(max_examples=8, deadline=None)
+@given(
+    t=st.floats(0.0, 60.0),
+    epsilon=st.floats(0.1, 8.0),
+    amplitude=st.floats(0.0, 1.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_transform_chain_equals_direct(a, b, c, t, epsilon, amplitude, seed):
+    p = DriveParams(epsilon=epsilon, omega=1.0, amplitude=amplitude)
+    u = Unitary2(random_unitary(np.random.default_rng(seed)))
+    via = frame_transform(frame_transform(u, a, b, t, p), b, c, t, p)
+    direct = frame_transform(u, a, c, t, p)
+    np.testing.assert_allclose(via.matrix, direct.matrix, rtol=0, atol=1e-12)
 
 
 def test_frame_transform_rejects_unknown():
