@@ -12,7 +12,6 @@ from .errors import (
     DetuningSingularity,
     MagnusError,
     NonHermitianInput,
-    NonHermitianResult,
     NotResonant,
     NotUnitary,
     ResonantStarkWarning,

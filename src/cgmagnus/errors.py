@@ -9,13 +9,6 @@ class NonHermitianInput(MagnusError):
     """A matrix that must be Hermitian exceeded the Hermiticity tolerance."""
 
 
-class NonHermitianResult(MagnusError):
-    """Quadrature produced a matrix with a large anti-Hermitian residual.
-
-    This signals a failed or under-resolved integration, not a physics result.
-    """
-
-
 class DetuningSingularity(MagnusError):
     """A closed form with a 1/detuning pole was evaluated too close to resonance."""
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotUnitary
 from .model import DriveParams, Frame
-from .pauli import Unitary2, unitarity_defect
+from .pauli import UNITARITY_TOL, Unitary2, unitarity_defect
 from .propagation import _to_lab_factor, trajectory
 
 __all__ = [
@@ -41,7 +41,7 @@ class FidelitySample:
 def _unitary_matrix(u) -> np.ndarray:
     m = u.matrix if isinstance(u, Unitary2) else np.asarray(u, dtype=complex)
     defect = np.max(unitarity_defect(m), initial=0.0)
-    if not defect <= 1e-12:
+    if not defect <= UNITARITY_TOL:
         raise NotUnitary(f"fidelity input has unitarity defect {defect:.3e}")
     return m
 

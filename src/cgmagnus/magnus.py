@@ -8,6 +8,13 @@ Magnus terms are
 
 and the window's effective Hamiltonian is H_eff(t) = (F1 + F2 + ...) / tau.
 
+The quadrature works on Pauli coefficient arrays: every generator result goes
+through ``as_coeffs``, so a Hermitian-stack generator is checked at 1e-10 in
+``f1_numeric``, ``f2_numeric`` and ``h_eff_window`` alike.  Since
+[a.sigma, g.sigma] = 2i (a x g).sigma, F2 is a real cross product of
+coefficient arrays, Hermitian by construction, and no matrix stack over the
+nodes is built.
+
 ``h_eff1_analytic``/``h_eff2_analytic`` are the closed forms of those averages
 for the interaction-picture driven two-level Hamiltonian.  The second-order
 closed form is derived from the elementary ordered integral
@@ -28,9 +35,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DetuningSingularity, NonHermitianResult
+from .errors import DetuningSingularity
 from .model import DriveParams
-from .pauli import PauliCoeffs, as_matrix, decompose
+from .pauli import PauliCoeffs, as_coeffs, compose, decompose
+from .shifts import _check_tau
 
 __all__ = [
     "Window",
@@ -43,9 +51,6 @@ __all__ = [
     "h_eff2_analytic",
     "h_eff_order2_analytic",
 ]
-
-# Anti-Hermitian residual beyond this value means the quadrature failed.
-_HERMITIAN_RESIDUAL_TOL = 1e-8
 
 # Switch to the Taylor branch of sin(x)/x below this |x|.
 _SINC_TAYLOR = 1e-4
@@ -61,11 +66,6 @@ def sinc(x: float) -> float:
         x2 = x * x
         return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
     return math.sin(x) / x
-
-
-def _check_tau(tau: float) -> None:
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,14 @@ def _leggauss(n: int):
 
 
 def _sample(h, q: QuadratureSpec, lo: float, hi):
-    # Nodes and weights on [lo, hi], and h on all nodes in one call (a constant
-    # result is broadcast); an array hi of shape (n, 1) gives (n, points) nodes.
+    # Nodes and weights on [lo, hi], and the four Pauli coefficients of h on
+    # all nodes from one call (a constant result is broadcast); an array hi of
+    # shape (n, 1) gives (n, points) nodes.
     x, w = _leggauss(q.points)
     half = 0.5 * (hi - lo)
     s = 0.5 * (hi + lo) + half * x
-    return s, half * w, np.broadcast_to(as_matrix(h(s)), s.shape + (2, 2))
+    c = as_coeffs(h(s))
+    return s, half * w, np.broadcast_arrays(s, c.c0, c.c1, c.c2, c.c3)[1:]
 
 
 def f1_numeric(h, w: Window, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
@@ -124,45 +126,35 @@ def f1_numeric(h, w: Window, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray
 
     ``h`` maps an array of times to Hermitian matrices or PauliCoeffs.
     """
-    _, wt, hs = _sample(h, q, w.t0, w.t1)
-    return np.einsum("k,kij->ij", wt, hs)
+    _, wt, c = _sample(h, q, w.t0, w.t1)
+    # Exactly rounded sums: over long windows an oscillating H cancels to a
+    # small fraction of its terms.
+    return compose(PauliCoeffs(*(math.fsum(wt * ci) for ci in c)))
 
 
 def f2_numeric(h, w: Window, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Second Magnus term -(i/2) of the ordered double commutator integral.
 
     The inner integral G(s1) = int_{t0}^{s1} H(s2) ds2 is evaluated per outer
-    node, so the commutator enters as [H(s1), G(s1)].
+    node; with a(s1) the vector part of H(s1), the commutator term
+    -(i/2) [H(s1), G(s1)] is the Pauli vector a(s1) x G(s1).
     """
-    s1, w1, h1 = _sample(h, q, w.t0, w.t1)
-    _, w2, h2 = _sample(h, q, w.t0, s1[:, None])
-    inner = np.einsum("ak,akij->aij", w2, h2)
-    return -0.5j * np.einsum("a,aij->ij", w1, h1 @ inner - inner @ h1)
+    s1, w1, (_, *a) = _sample(h, q, w.t0, w.t1)
+    _, w2, (_, *inner) = _sample(h, q, w.t0, s1[:, None])
+    g = [np.einsum("ak,ak->a", ci, w2) for ci in inner]
+    return compose(PauliCoeffs(0.0, *(np.cross(a, g, axis=0) @ w1)))
 
 
 def h_eff_window(
     h, w: Window, order: int, q: QuadratureSpec = QuadratureSpec()
 ) -> PauliCoeffs:
-    """Windowed effective Hamiltonian (F1 [+ F2]) / tau from quadrature.
-
-    Raises
-    ------
-    NonHermitianResult
-        If the anti-Hermitian residual of the accumulated terms exceeds 1e-8,
-        which signals quadrature failure rather than physics.
-    """
+    """Windowed effective Hamiltonian (F1 [+ F2]) / tau from quadrature."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     m = f1_numeric(h, w, q)
     if order == 2:
         m = m + f2_numeric(h, w, q)
-    residual = np.abs(m - m.conj().T).max()
-    if residual > _HERMITIAN_RESIDUAL_TOL:
-        raise NonHermitianResult(
-            f"anti-Hermitian residual {residual:.3e} exceeds "
-            f"{_HERMITIAN_RESIDUAL_TOL}; refine the quadrature"
-        )
-    return decompose(0.5 * (m + m.conj().T)) * (1.0 / w.tau)
+    return decompose(m) * (1.0 / w.tau)
 
 
 def h_eff1_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:

@@ -30,7 +30,6 @@ __all__ = [
     "decompose",
     "expm_pauli",
     "commutator",
-    "as_matrix",
     "as_coeffs",
     "unitarity_defect",
 ]
@@ -206,13 +205,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     return a @ b - b @ a
-
-
-def as_matrix(value) -> np.ndarray:
-    """Coerce a PauliCoeffs or array-like to a complex 2x2 ndarray or (..., 2, 2) stack."""
-    if isinstance(value, PauliCoeffs):
-        return compose(value)
-    return np.asarray(value, dtype=complex)
 
 
 def as_coeffs(value) -> PauliCoeffs:

@@ -21,6 +21,7 @@ each row by a pairwise tree and scans the row products after the carry, on
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -58,6 +59,11 @@ class PropagationSpec:
     steps: int
 
     def __post_init__(self):
+        for name, t in (("t0", self.t0), ("t1", self.t1)):
+            if not math.isfinite(t):
+                raise ValueError(f"{name} must be finite, got {t}")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.t1 < self.t0:
             raise ValueError(f"t1 = {self.t1} must be >= t0 = {self.t0}")
         if self.steps < 1:
@@ -200,8 +206,8 @@ def floquet_splitting(p: DriveParams, steps: int | None = None) -> float:
     if steps is None:
         steps = default_floquet_steps(p)
     period = p.drive_period
-    u = _product(lambda t: h_lab(t, p), (0.0, period), (steps,))[0]
-    lam = np.linalg.eigvals(u)
+    u = propagate(lambda t: h_lab(t, p), PropagationSpec(0.0, period, steps))
+    lam = np.linalg.eigvals(u.matrix)
     # Relative eigenphase, insensitive to the global phase convention.
     rel = abs(np.angle(lam[0] * np.conj(lam[1])))
     if rel < 1e-10:

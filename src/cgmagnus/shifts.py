@@ -121,6 +121,13 @@ def _amplitude_ratio_factor(p: "DriveParams") -> float:
     return (1.0 - 0.5 * x * x) / (1.0 - x * x)
 
 
+def _check_tau(tau: float) -> None:
+    # Also magnus's window check; it lives here because magnus imports model,
+    # which imports this module.
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
+
+
 def _require_resonant(p: "DriveParams", op: str) -> None:
     if abs(p.detuning) > _RESONANCE_TOL * p.omega:
         raise NotResonant(f"{op} requires delta = 0, got delta = {p.detuning}")
@@ -220,17 +227,17 @@ def validate_regime(
     """Turn each coarse-graining inequality into a ratio >= kappa check.
 
     Every "much greater/less than" condition becomes ratio >= kappa with a
-    configurable threshold (default 5).  Reports only; never raises, and a
-    failed check is a warning, not an error: probing the limits of the
-    approximation is a legitimate use.
+    configurable threshold (default 5).  Reports only: a failed check is a
+    warning, not an error, since probing the limits of the approximation is a
+    legitimate use.  Only a tau that is not finite and > 0, or an unknown
+    case, raises ValueError.
 
     Dispersive case: tau*omega/pi, tau*(omega+epsilon)/(2 pi),
     |delta|*tau/(2 pi) as lower bounds and 2 pi/(S_rw*tau) as the upper one.
     Resonant case: 2 pi/(W*tau), tau*(2 omega - W)/(2 pi), 2 pi/(S_bs'*tau)
     and the amplitude consistency ratio (W/omega)*32^(1/3).
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    _check_tau(tau)
     if case not in REGIME_CASES:
         raise ValueError(f"case must be one of {REGIME_CASES}, got {case!r}")
     two_pi = 2.0 * math.pi

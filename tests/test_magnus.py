@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgmagnus import (
     DetuningSingularity,
     DriveParams,
-    NonHermitianResult,
+    NonHermitianInput,
     PauliCoeffs,
     QuadratureSpec,
     Window,
@@ -93,6 +94,63 @@ def test_f2_constant_hamiltonian_vanishes():
     assert np.abs(f2).max() < 1e-13
 
 
+def _f2_matrix_reference(h, w, q):
+    # The matrix route: -(i/2) sum_a w1[a] [H(s1_a), G(s1_a)] on (..., 2, 2)
+    # stacks, with the inner sums G(s1) = sum_k w2[a, k] H(s2_ak).
+    x, wt = np.polynomial.legendre.leggauss(q.points)
+
+    def sample(hi):
+        half = 0.5 * (hi - w.t0)
+        s = 0.5 * (hi + w.t0) + half * x
+        m = h(s)
+        m = compose(m) if isinstance(m, PauliCoeffs) else np.asarray(m, dtype=complex)
+        return s, half * wt, np.broadcast_to(m, s.shape + (2, 2))
+
+    s1, w1, h1 = sample(w.t1)
+    _, w2, h2 = sample(s1[:, None])
+    g = np.einsum("ak,akij->aij", w2, h2)
+    return -0.5j * np.einsum("a,aij->ij", w1, h1 @ g - g @ h1)
+
+
+def _trig_generator(seed, stack):
+    # c_j(s) = b_j + a_j cos(f_j s + phi_j) for j = 0..3, with c0 != 0; as a
+    # Hermitian (..., 2, 2) stack when ``stack`` is set.
+    rng = np.random.default_rng(seed)
+    b, a = rng.uniform(-2.0, 2.0, 4), rng.uniform(0.5, 2.0, 4)
+    f, phi = rng.uniform(0.3, 3.0, 4), rng.uniform(0.0, 2 * math.pi, 4)
+    b[0] = math.copysign(0.5 + abs(b[0]), b[0])
+
+    def h(s):
+        s = np.asarray(s)[..., None]
+        c = PauliCoeffs(*np.moveaxis(b + a * np.cos(f * s + phi), -1, 0))
+        return compose(c) if stack else c
+
+    return h
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stack=st.booleans(),
+    t=st.floats(-5.0, 5.0),
+    tau=st.floats(0.5, 20.0),
+    points=st.sampled_from([8, 33, 64, 96]),
+)
+def test_f2_cross_product_matches_matrix_route(seed, stack, t, tau, points):
+    h = _trig_generator(seed, stack)
+    w, q = Window(t=t, tau=tau), QuadratureSpec(points=points)
+    ref = _f2_matrix_reference(h, w, q)
+    got = f2_numeric(h, w, q)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_f2_time_reversal_flips_sign():
+    w = Window(t=0.7, tau=3.3 * math.pi)
+    h_rev = lambda s: h_fig(w.t0 + w.t1 - s)
+    f2, f2_rev = f2_numeric(h_fig, w), f2_numeric(h_rev, w)
+    np.testing.assert_allclose(f2_rev, -f2, atol=1e-12 * np.abs(f2).max())
+
+
 def test_f2_piecewise_ordered_value():
     # H = sigma1 on [0,1), sigma2 on [1,2]: the ordered nested integral is
     # -(i/2) [sigma2, sigma1] * 1 * 1 = -sigma3 exactly.
@@ -127,10 +185,15 @@ def test_h_eff_window_order1_is_f1_over_tau():
     np.testing.assert_allclose(compose(out), f1_numeric(h_fig, w) / w.tau, atol=1e-13)
 
 
-def test_h_eff_window_rejects_non_hermitian_input():
+@pytest.mark.parametrize(
+    "oracle",
+    [f1_numeric, f2_numeric, lambda h, w: h_eff_window(h, w, order=1)],
+    ids=["f1_numeric", "f2_numeric", "h_eff_window"],
+)
+def test_h_eff_window_rejects_non_hermitian_input(oracle):
     h = lambda s: np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NonHermitianResult):
-        h_eff_window(h, Window(t=0.0, tau=1.0), order=1)
+    with pytest.raises(NonHermitianInput):
+        oracle(h, Window(t=0.0, tau=1.0))
 
 
 def test_h_eff_window_order_validation():

@@ -39,6 +39,18 @@ def test_spec_validation():
         PropagationSpec(1.0, 0.0, 10)
     with pytest.raises(ValueError):
         PropagationSpec(0.0, 1.0, 0)
+    for t0, t1, field in [(0.0, math.nan, "t1"), (0.0, math.inf, "t1"), (-math.inf, 1.0, "t0")]:
+        with pytest.raises(ValueError, match=field):
+            PropagationSpec(t0, t1, 10)
+    with pytest.raises(ValueError, match="steps"):
+        PropagationSpec(0.0, 1.0, 2.5)
+    assert PropagationSpec(0.0, 1.0, np.int64(3)).steps == 3
+
+
+@pytest.mark.parametrize("steps", [0, -3, 2.5])
+def test_floquet_splitting_rejects_bad_steps(steps):
+    with pytest.raises(ValueError, match="steps"):
+        floquet_splitting(RESONANT, steps=steps)
 
 
 def test_constant_generator_is_exact():

@@ -222,8 +222,9 @@ def test_regime_never_raises_and_validates_inputs():
         for check in validate_regime(DriveParams(4.0, 1.0, 0.0), 3.0, case).checks:
             if check.name.endswith("_window"):
                 assert check.value == math.inf and check.passes
-    with pytest.raises(ValueError):
-        validate_regime(DISPERSIVE, -1.0, "dispersive")
+    for tau in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau"):
+            validate_regime(DISPERSIVE, tau, "dispersive")
     with pytest.raises(ValueError):
         validate_regime(DISPERSIVE, 1.0, "nonsense")
 
