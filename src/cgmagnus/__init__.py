@@ -38,13 +38,11 @@ from .model import (
     h_lab,
     h_rw_interaction,
     h_rwa,
-    h_rwa_plus_bs,
     u_x,
 )
 from .pauli import (
     PauliCoeffs,
     Unitary2,
-    commutator,
     compose,
     decompose,
     expm_pauli,
@@ -67,6 +65,7 @@ from .shifts import (
     h_eff_dispersive,
     h_eff_resonant_bar,
     h_eff_resonant_interaction,
+    h_rwa_plus_bs,
     resonant_splitting,
     stark_shift,
     validate_regime,

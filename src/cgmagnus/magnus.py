@@ -16,8 +16,9 @@ coefficient arrays, Hermitian by construction, and no matrix stack over the
 nodes is built.
 
 ``h_eff1_analytic``/``h_eff2_analytic`` are the closed forms of those averages
-for the interaction-picture driven two-level Hamiltonian.  The second-order
-closed form is derived from the elementary ordered integral
+for the interaction-picture driven two-level Hamiltonian.  The first-order
+form scales the two rotating terms of ``model._rotating`` by window sincs.
+The second-order closed form is derived from the elementary ordered integral
 
     I(alpha, beta) = (tau / (i beta)) e^{i(alpha+beta)t}
                      [sinc((alpha+beta) tau / 2)
@@ -36,9 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DetuningSingularity
-from .model import DriveParams
+from .model import DriveParams, _rotating
 from .pauli import PauliCoeffs, as_coeffs, compose, decompose
-from .shifts import _check_tau
 
 __all__ = [
     "Window",
@@ -52,9 +52,6 @@ __all__ = [
     "h_eff_order2_analytic",
 ]
 
-# Switch to the Taylor branch of sin(x)/x below this |x|.
-_SINC_TAYLOR = 1e-4
-
 # Below this |delta|*tau the second-order closed form is singular; the
 # resonant forms apply instead.
 _MIN_DETUNING_TAU = 1e-6
@@ -62,10 +59,12 @@ _MIN_DETUNING_TAU = 1e-6
 
 def sinc(x: float) -> float:
     """sin(x)/x with sinc(0) = 1 (unnormalized, unlike numpy.sinc)."""
-    if abs(x) < _SINC_TAYLOR:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return math.sin(x) / x
+    return math.sin(x) / x if x else 1.0
+
+
+def _check_tau(tau: float) -> None:
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -170,13 +169,9 @@ def h_eff1_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
     d = p.detuning
     b = p.epsilon + p.omega
     half = 0.5 * p.amplitude
-    sd = sinc(0.5 * d * tau)
-    sb = sinc(0.5 * b * tau)
-    return PauliCoeffs(
-        0.0,
-        half * (np.cos(d * t) * sd + np.cos(b * t) * sb),
-        half * (np.sin(d * t) * sd + np.sin(b * t) * sb),
-        0.0,
+    return (
+        _rotating(t, d, half * sinc(0.5 * d * tau))
+        + _rotating(t, b, half * sinc(0.5 * b * tau))
     )
 
 

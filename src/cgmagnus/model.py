@@ -10,6 +10,9 @@ whose drive term splits into a corotating part (W/2)(e^{i omega t} sigma+ + h.c.
 and a counterrotating part (W/2)(e^{-i omega t} sigma+ + h.c.).  In the
 interaction picture the corotating part oscillates at the detuning
 ``delta = epsilon - omega`` and the counterrotating part at ``epsilon + omega``.
+Each is a rotating term A (cos(nu t) sigma1 + sin(nu t) sigma2), written once
+as ``_rotating``.  This module imports only ``pauli``; the Hamiltonians that
+contain a level shift live in ``shifts``.
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ from enum import Enum
 import numpy as np
 
 from .pauli import PauliCoeffs, _expm_matrix, compose, decompose
-from .shifts import bloch_siegert_shift
 
 __all__ = [
     "DriveParams",
@@ -31,7 +33,6 @@ __all__ = [
     "h_cr_interaction",
     "h_bar",
     "h_rwa",
-    "h_rwa_plus_bs",
     "h0_coeffs",
     "u_x",
 ]
@@ -91,6 +92,12 @@ def h_lab(t: float, p: DriveParams) -> PauliCoeffs:
     )
 
 
+def _rotating(t: float, nu: float, amplitude: float) -> PauliCoeffs:
+    # amplitude * (cos(nu t) sigma1 + sin(nu t) sigma2)
+    phase = nu * t
+    return PauliCoeffs(0.0, amplitude * np.cos(phase), amplitude * np.sin(phase), 0.0)
+
+
 def h_interaction(t: float, p: DriveParams) -> PauliCoeffs:
     """Drive Hamiltonian conjugated into the interaction picture.
 
@@ -98,37 +105,17 @@ def h_interaction(t: float, p: DriveParams) -> PauliCoeffs:
     the sum of the corotating and counterrotating parts, which the tests pin
     against the direct matrix conjugation.
     """
-    d = p.detuning
-    b = p.epsilon + p.omega
-    half = 0.5 * p.amplitude
-    return PauliCoeffs(
-        0.0,
-        half * (np.cos(d * t) + np.cos(b * t)),
-        half * (np.sin(d * t) + np.sin(b * t)),
-        0.0,
-    )
+    return h_rw_interaction(t, p) + h_cr_interaction(t, p)
 
 
 def h_rw_interaction(t: float, p: DriveParams) -> PauliCoeffs:
     """Corotating part in the interaction picture, rotating at the detuning."""
-    d = p.detuning
-    half = 0.5 * p.amplitude
-    return PauliCoeffs(0.0, half * np.cos(d * t), half * np.sin(d * t), 0.0)
+    return _rotating(t, p.detuning, 0.5 * p.amplitude)
 
 
 def h_cr_interaction(t: float, p: DriveParams) -> PauliCoeffs:
     """Counterrotating part in the interaction picture, rotating at epsilon + omega."""
-    b = p.epsilon + p.omega
-    half = 0.5 * p.amplitude
-    return PauliCoeffs(0.0, half * np.cos(b * t), half * np.sin(b * t), 0.0)
-
-
-def _h_cr_lab(t: float, p: DriveParams) -> PauliCoeffs:
-    # Lab-frame counterrotating term (W/2)(e^{-i omega t} sigma+ + h.c.).
-    half = 0.5 * p.amplitude
-    return PauliCoeffs(
-        0.0, half * np.cos(p.omega * t), half * np.sin(p.omega * t), 0.0
-    )
+    return _rotating(t, p.epsilon + p.omega, 0.5 * p.amplitude)
 
 
 def u_x(t: float, p: DriveParams) -> np.ndarray:
@@ -138,30 +125,22 @@ def u_x(t: float, p: DriveParams) -> np.ndarray:
     at resonance; away from resonance its instantaneous value at ``t`` is used.
     Callers relying on the bar frame enforce delta = 0.
     """
-    a = np.moveaxis(_expm_matrix(h0_coeffs(p), t), (0, 1), (-2, -1))
-    b = np.moveaxis(_expm_matrix(h_rw_interaction(t, p), t), (0, 1), (-2, -1))
-    return a @ b
+    return _expm_matrix(h0_coeffs(p), t) @ _expm_matrix(h_rw_interaction(t, p), t)
 
 
 def h_bar(t: float, p: DriveParams) -> PauliCoeffs:
     """Counterrotating term conjugated into the rotating (bar) frame.
 
     Computed numerically as U_x(t)^dagger H_cr(t) U_x(t) with the lab-frame
-    counterrotating term; at delta = 0 this is the exact generator of the
-    bar-frame dynamics (the tests pin the two-route propagator equivalence).
+    counterrotating term (W/2)(e^{-i omega t} sigma+ + h.c.); at delta = 0 this
+    is the exact generator of the bar-frame dynamics (the tests pin the
+    two-route propagator equivalence).
     """
     ux = u_x(t, p)
-    m = ux.conj().swapaxes(-1, -2) @ compose(_h_cr_lab(t, p)) @ ux
+    m = ux.conj().swapaxes(-1, -2) @ compose(_rotating(t, p.omega, 0.5 * p.amplitude)) @ ux
     return decompose(m)
 
 
 def h_rwa(p: DriveParams) -> PauliCoeffs:
     """Static corotating Hamiltonian (W/2) sigma1 of the resonant interaction picture."""
     return PauliCoeffs(0.0, 0.5 * p.amplitude, 0.0, 0.0)
-
-
-def h_rwa_plus_bs(p: DriveParams) -> PauliCoeffs:
-    """RWA Hamiltonian plus the diagonal Bloch-Siegert shift -(S_BS/2) sigma3."""
-    return PauliCoeffs(
-        0.0, 0.5 * p.amplitude, 0.0, -0.5 * bloch_siegert_shift(p)
-    )

@@ -29,7 +29,6 @@ __all__ = [
     "compose",
     "decompose",
     "expm_pauli",
-    "commutator",
     "as_coeffs",
     "unitarity_defect",
 ]
@@ -167,8 +166,9 @@ class Unitary2:
 def _expm_matrix(p: PauliCoeffs, dt) -> np.ndarray:
     """exp(-i * compose(p) * dt) as a raw ndarray, via the SU(2) closed form.
 
-    Array fields of ``p`` or an array ``dt`` broadcast to a (2, 2, ...) stack,
-    matrix axes first; ``np.moveaxis(m, (0, 1), (-2, -1))`` views it as (..., 2, 2).
+    Array fields of ``p`` or an array ``dt`` broadcast to a (..., 2, 2) stack,
+    a view of a matrix-axes-first (2, 2, ...) buffer; ``propagation._product``
+    takes that view back for :func:`_mul`.
     """
     r = np.sqrt(p.c1 * p.c1 + p.c2 * p.c2 + p.c3 * p.c3)
     x = r * dt
@@ -181,7 +181,7 @@ def _expm_matrix(p: PauliCoeffs, dt) -> np.ndarray:
     out[0, 1] = f * (p.c1 - 1j * p.c2)
     out[1, 0] = f * (p.c1 + 1j * p.c2)
     out[1, 1] = c - f * p.c3
-    return out
+    return out.transpose(*range(2, out.ndim), 0, 1)  # np.moveaxis costs several times more
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,13 +198,6 @@ def expm_pauli(p: PauliCoeffs, dt: float) -> Unitary2:
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
     return Unitary2(_expm_matrix(p, dt))
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix commutator a b - b a."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return a @ b - b @ a
 
 
 def as_coeffs(value) -> PauliCoeffs:

@@ -105,6 +105,7 @@ def _product(h, edges, steps) -> np.ndarray:
         row, col = np.nonzero(real)
         dt = dts[i[row]]
         e = _expm_matrix(as_coeffs(h(edges[i[row]] + (first[row] + col + 0.5) * dt)), dt)
+        e = e.transpose(1, 2, 0)  # back to the (2, 2, n) buffer
         m = np.multiply.outer(ID2, np.ones(real.shape))  # identity padding
         for entry, value in zip(m.reshape((4,) + real.shape), e.reshape(4, -1)):
             entry[real] = value  # one 2x2 entry at a time: numpy's mask path is slow under leading axes
@@ -156,7 +157,7 @@ def trajectory(h, ts, dt: float) -> np.ndarray:
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if not callable(h):
-        return np.moveaxis(_expm_matrix(as_coeffs(h), ts), (0, 1), (-2, -1))
+        return _expm_matrix(as_coeffs(h), ts)
     steps = np.where(gaps > 0, np.maximum(1, np.ceil(gaps / dt)), 0)
     return _product(h, np.concatenate(([0.0], ts)), steps)
 
@@ -166,7 +167,7 @@ def _to_lab_factor(frame: Frame, t, p: DriveParams) -> np.ndarray:
     if frame is Frame.LAB:
         return ID2
     if frame is Frame.INTERACTION:
-        return np.moveaxis(_expm_matrix(h0_coeffs(p), t), (0, 1), (-2, -1))
+        return _expm_matrix(h0_coeffs(p), t)
     if frame is Frame.BAR:
         return u_x(t, p)
     raise UnknownFramePair(f"unknown frame {frame!r}")

@@ -8,22 +8,21 @@ With drive amplitude W, frequency omega and detuning delta = epsilon - omega:
 
 ``S_bs'`` renormalizes the drive amplitude at resonance and has a pole at
 W = 2 omega.  The dispersive effective Hamiltonian is
--(S_rw + S_bs)/2 * sigma3; the resonant ones are assembled below.
+-(S_rw + S_bs)/2 * sigma3; the resonant ones and the RWA Hamiltonian plus
+the Bloch-Siegert shift are assembled below.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AmplitudePole, NotResonant, ResonantStarkWarning
+from .magnus import _check_tau
+from .model import DriveParams
 from .pauli import PauliCoeffs
-
-if TYPE_CHECKING:
-    from .model import DriveParams
 
 __all__ = [
     "Shifts",
@@ -34,6 +33,7 @@ __all__ = [
     "bloch_siegert_shift",
     "bloch_siegert_prime_shift",
     "h_eff_dispersive",
+    "h_rwa_plus_bs",
     "h_eff_resonant_bar",
     "h_eff_resonant_interaction",
     "validate_regime",
@@ -58,7 +58,7 @@ class Shifts:
     s_bs_prime: float
 
 
-def stark_shift(p: "DriveParams") -> float:
+def stark_shift(p: DriveParams) -> float:
     """Stark shift W^2 / (2 delta); infinite (with a warning) at resonance."""
     d = p.detuning
     if abs(d) < _RESONANCE_TOL * p.omega:
@@ -71,12 +71,12 @@ def stark_shift(p: "DriveParams") -> float:
     return p.amplitude**2 / (2.0 * d)
 
 
-def bloch_siegert_shift(p: "DriveParams") -> float:
+def bloch_siegert_shift(p: DriveParams) -> float:
     """Diagonal Bloch-Siegert shift W^2 / (2 (2 omega + delta))."""
     return p.amplitude**2 / (2.0 * (2.0 * p.omega + p.detuning))
 
 
-def bloch_siegert_prime_shift(p: "DriveParams") -> float:
+def bloch_siegert_prime_shift(p: DriveParams) -> float:
     """Off-diagonal Bloch-Siegert shift W^3 / (16 omega^2 (1 - (W/2 omega)^2)).
 
     Raises
@@ -92,7 +92,7 @@ def bloch_siegert_prime_shift(p: "DriveParams") -> float:
     return p.amplitude**3 / (16.0 * p.omega**2 * (1.0 - x * x))
 
 
-def compute_shifts(p: "DriveParams") -> Shifts:
+def compute_shifts(p: DriveParams) -> Shifts:
     """All three shifts for the given drive parameters."""
     # The amplitude-pole check runs first, so an invalid drive raises before
     # the resonant Stark warning can fire.
@@ -104,7 +104,7 @@ def compute_shifts(p: "DriveParams") -> Shifts:
     )
 
 
-def h_eff_dispersive(p: "DriveParams") -> PauliCoeffs:
+def h_eff_dispersive(p: DriveParams) -> PauliCoeffs:
     """Static dispersive effective Hamiltonian -(S_rw + S_bs)/2 * sigma3.
 
     Intended for delta / W >> 1; validity is reported by
@@ -115,25 +115,25 @@ def h_eff_dispersive(p: "DriveParams") -> PauliCoeffs:
     )
 
 
-def _amplitude_ratio_factor(p: "DriveParams") -> float:
+def h_rwa_plus_bs(p: DriveParams) -> PauliCoeffs:
+    """RWA Hamiltonian plus the diagonal Bloch-Siegert shift -(S_BS/2) sigma3."""
+    return PauliCoeffs(
+        0.0, 0.5 * p.amplitude, 0.0, -0.5 * bloch_siegert_shift(p)
+    )
+
+
+def _amplitude_ratio_factor(p: DriveParams) -> float:
     # (1 - (W / (2 sqrt(2) omega))^2) / (1 - (W / (2 omega))^2)
     x = p.amplitude / (2.0 * p.omega)
     return (1.0 - 0.5 * x * x) / (1.0 - x * x)
 
 
-def _check_tau(tau: float) -> None:
-    # Also magnus's window check; it lives here because magnus imports model,
-    # which imports this module.
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
-
-
-def _require_resonant(p: "DriveParams", op: str) -> None:
+def _require_resonant(p: DriveParams, op: str) -> None:
     if abs(p.detuning) > _RESONANCE_TOL * p.omega:
         raise NotResonant(f"{op} requires delta = 0, got delta = {p.detuning}")
 
 
-def h_eff_resonant_bar(t: float, p: "DriveParams") -> PauliCoeffs:
+def h_eff_resonant_bar(t: float, p: DriveParams) -> PauliCoeffs:
     """Second-order effective Hamiltonian in the bar frame at resonance.
 
     Returns -(S_bs'/2) sigma1 - (S_bs/2) * r * (e^{i W t} |+><-| + h.c.) with
@@ -155,7 +155,7 @@ def h_eff_resonant_bar(t: float, p: "DriveParams") -> PauliCoeffs:
     )
 
 
-def h_eff_resonant_interaction(p: "DriveParams") -> PauliCoeffs:
+def h_eff_resonant_interaction(p: DriveParams) -> PauliCoeffs:
     """Static resonant effective Hamiltonian in the interaction picture.
 
     -(S_bs/2) sigma3 + ((W - S_bs')/2) sigma1: the counterrotating term both
@@ -171,7 +171,7 @@ def h_eff_resonant_interaction(p: "DriveParams") -> PauliCoeffs:
     )
 
 
-def resonant_splitting(p: "DriveParams") -> float:
+def resonant_splitting(p: DriveParams) -> float:
     """Eigenvalue splitting sqrt(S_bs^2 + (W - S_bs')^2) of the resonant form."""
     return math.hypot(
         bloch_siegert_shift(p), p.amplitude - bloch_siegert_prime_shift(p)
@@ -222,7 +222,7 @@ class RegimeReport:
 
 
 def validate_regime(
-    p: "DriveParams", tau: float, case: str, kappa: float = 5.0
+    p: DriveParams, tau: float, case: str, kappa: float = 5.0
 ) -> RegimeReport:
     """Turn each coarse-graining inequality into a ratio >= kappa check.
 

@@ -9,12 +9,11 @@ from cgmagnus import (
     NotUnitary,
     PauliCoeffs,
     Unitary2,
-    commutator,
     compose,
     decompose,
     expm_pauli,
 )
-from cgmagnus.pauli import ID2, SIGMA1, SIGMA2, SIGMA3, unitarity_defect
+from cgmagnus.pauli import ID2, SIGMA1, SIGMA2, unitarity_defect
 
 from conftest import random_unitary
 
@@ -131,21 +130,6 @@ def test_expm_one_parameter_group(rng):
         a = expm_pauli(p, dt1).matrix @ expm_pauli(p, dt2).matrix
         b = expm_pauli(p, dt1 + dt2).matrix
         assert np.abs(a - b).max() < 1e-11
-
-
-def test_commutator_pauli_algebra():
-    np.testing.assert_allclose(commutator(SIGMA1, SIGMA2), 2j * SIGMA3, atol=1e-15)
-    np.testing.assert_allclose(commutator(SIGMA2, SIGMA1), -2j * SIGMA3, atol=1e-15)
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(commutator(a, a), np.zeros((2, 2)))
-
-
-def test_commutator_of_hermitians_is_antihermitian(rng):
-    for _ in range(50):
-        a = compose(PauliCoeffs(*rng.normal(size=4)))
-        b = compose(PauliCoeffs(*rng.normal(size=4)))
-        c = commutator(a, b)
-        assert np.abs(c + c.conj().T).max() < 1e-12
 
 
 def test_unitary2_accepts_unitary_rejects_other(rng):

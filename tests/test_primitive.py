@@ -133,7 +133,7 @@ def test_array_generators_match_scalar_calls(name, ts):
 @given(n=st.integers(1, 2100), seed=st.integers(0, 2**32 - 1))
 def test_scan_matches_sequential_product(n, seed):
     c = np.random.default_rng(seed).normal(size=(4, n))
-    m = _expm_matrix(PauliCoeffs(*c), 0.7)  # matrix axes first, (2, 2, n)
+    m = np.moveaxis(_expm_matrix(PauliCoeffs(*c), 0.7), (-2, -1), (0, 1))  # matrix axes first, (2, 2, n)
     got = _scan(m)
     u = ID2
     for k in range(n):
@@ -183,8 +183,8 @@ def test_stacked_expm_matches_scalar_rows(rng):
     c[5, :] = 0.0
     dt = rng.normal(size=50) * 5.0
     got = _expm_matrix(PauliCoeffs(*c.T), dt)
-    assert got.shape == (2, 2, 50)
-    for row, d, g in zip(c, dt, np.moveaxis(got, -1, 0)):
+    assert got.shape == (50, 2, 2)
+    for row, d, g in zip(c, dt, got):
         assert np.abs(g - _expm_matrix(PauliCoeffs(*row.tolist()), float(d))).max() <= 1e-12
 
 
