@@ -18,12 +18,11 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AmplitudePole, ConfigError, MagnusError, ResonantStarkWarning
+from .errors import AmplitudePole, ConfigError, MagnusError
 from .fidelity import min_fidelity
 from .magnus import _MIN_DETUNING_TAU, h_eff_order2_analytic
 from .model import DriveParams, h_interaction, h_rw_interaction
@@ -32,10 +31,10 @@ from .propagation import (
     DEFAULT_STEPS_PER_PERIOD,
     default_floquet_steps,
     floquet_splitting,
+    max_step,
     trajectory,
 )
 from .shifts import (
-    _RESONANCE_TOL,
     bloch_siegert_prime_shift,
     bloch_siegert_shift,
     h_eff_resonant_interaction,
@@ -73,10 +72,6 @@ class ScenarioConfig:
     @property
     def delta(self) -> float:
         return self.epsilon - 1.0
-
-    @property
-    def is_resonant(self) -> bool:
-        return abs(self.delta) < _RESONANCE_TOL  # relative to omega = 1
 
     def drive(self) -> DriveParams:
         return DriveParams(epsilon=self.epsilon, omega=1.0, amplitude=self.amplitude)
@@ -189,7 +184,7 @@ def _validate(cfg: ScenarioConfig) -> None:
     if not steps <= _MAX_STEPS:  # simulate's steps, or one Floquet period of shifts
         raise ConfigError(f"steps_per_period: max(t_max_periods, 1)*(epsilon+1)*steps_per_period = {steps:.4g} exceeds {_MAX_STEPS}")
     for name in cfg.models:
-        if name in RESONANT_ONLY_MODELS and not cfg.is_resonant:
+        if name in RESONANT_ONLY_MODELS and not cfg.drive().is_resonant:
             raise ConfigError(f"models: {name} requires delta = 0, got delta = {cfg.delta}")
     if "magnus2" in cfg.models:
         if cfg.tau_periods is None:
@@ -218,7 +213,7 @@ def _run_simulation(cfg: ScenarioConfig):
     p = cfg.drive()
     periods = cfg.grid_periods()
     grid = periods * _TWO_PI
-    dt = _TWO_PI / (p.epsilon + 1.0) / cfg.steps_per_period  # per shortest period, omega = 1
+    dt = max_step(p, cfg.steps_per_period)
     u_exact = trajectory(lambda t: h_interaction(t, p), grid, dt)
 
     columns = [periods]
@@ -240,7 +235,7 @@ def _write_csv(path: str, cfg: ScenarioConfig, header, rows) -> None:
 
 
 def _regime_case(cfg: ScenarioConfig) -> str:
-    return "resonant" if cfg.is_resonant else "dispersive"
+    return "resonant" if cfg.drive().is_resonant else "dispersive"
 
 
 def cmd_simulate(cfg: ScenarioConfig, strict_regime: bool = False) -> int:
@@ -319,10 +314,8 @@ def cmd_shifts(cfg: ScenarioConfig) -> int:
     """Tabulate the closed-form shifts next to the Floquet splitting oracle."""
     p = cfg.drive()
     rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResonantStarkWarning)
-        s_rw = stark_shift(p)
-    note = " (resonant: 1/delta pole)" if not math.isfinite(s_rw) else ""
+    s_rw = math.inf if p.is_resonant else stark_shift(p)
+    note = " (resonant: 1/delta pole)" if p.is_resonant else ""
     rows.append(("S_rw (Stark)", s_rw, note))
     rows.append(("S_bs (diagonal Bloch-Siegert)", bloch_siegert_shift(p), ""))
     try:

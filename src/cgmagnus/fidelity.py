@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnitary
 from .model import DriveParams, Frame
-from .pauli import UNITARITY_TOL, Unitary2, unitarity_defect
+from .pauli import _checked_unitary
 from .propagation import _to_lab_factor, trajectory
 
 __all__ = [
@@ -38,22 +37,14 @@ class FidelitySample:
             raise ValueError(f"fidelity {self.value} outside [0, 1 + 1e-12]")
 
 
-def _unitary_matrix(u) -> np.ndarray:
-    m = u.matrix if isinstance(u, Unitary2) else np.asarray(u, dtype=complex)
-    defect = np.max(unitarity_defect(m), initial=0.0)
-    if not defect <= UNITARITY_TOL:
-        raise NotUnitary(f"fidelity input has unitarity defect {defect:.3e}")
-    return m
-
-
 def min_fidelity(u, u_eff) -> float | np.ndarray:
     """Worst-case pure-state overlap |Tr(U^dagger U_eff)|^2 / 4.
 
     Both arguments must be unitary (Unitary2, plain 2x2 arrays or (..., 2, 2)
     stacks, scored pair by pair) and expressed in the same frame.
     """
-    a = _unitary_matrix(u)
-    b = _unitary_matrix(u_eff)
+    a = _checked_unitary(u)
+    b = _checked_unitary(u_eff)
     return np.abs(np.einsum("...ij,...ij->...", a.conj(), b)) ** 2 / 4.0
 
 
@@ -67,8 +58,8 @@ def min_fidelity_bruteforce(u, u_eff, grid_n: int = 100) -> float:
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
-    a = _unitary_matrix(u)
-    b = _unitary_matrix(u_eff)
+    a = _checked_unitary(u)
+    b = _checked_unitary(u_eff)
     v = a.conj().T @ b
     theta = np.linspace(0.0, math.pi, grid_n | 1)
     phi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)

@@ -11,8 +11,9 @@ and a counterrotating part (W/2)(e^{-i omega t} sigma+ + h.c.).  In the
 interaction picture the corotating part oscillates at the detuning
 ``delta = epsilon - omega`` and the counterrotating part at ``epsilon + omega``.
 Each is a rotating term A (cos(nu t) sigma1 + sin(nu t) sigma2), written once
-as ``_rotating``.  This module imports only ``pauli``; the Hamiltonians that
-contain a level shift live in ``shifts``.
+as ``_rotating``, and ``DriveParams.is_resonant`` alone decides delta = 0.
+This module imports only ``pauli``; the Hamiltonians that contain a level
+shift live in ``shifts``.
 """
 from __future__ import annotations
 
@@ -36,6 +37,9 @@ __all__ = [
     "h0_coeffs",
     "u_x",
 ]
+
+# |delta| up to this multiple of omega counts as exact resonance.
+_RESONANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,11 @@ class DriveParams:
     def detuning(self) -> float:
         """delta = epsilon - omega, derived on access (never stored)."""
         return self.epsilon - self.omega
+
+    @property
+    def is_resonant(self) -> bool:
+        """|delta| <= 1e-12 omega: the drive is resonant up to roundoff."""
+        return abs(self.detuning) <= _RESONANCE_TOL * self.omega
 
     @property
     def drive_period(self) -> float:

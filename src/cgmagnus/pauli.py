@@ -22,8 +22,6 @@ __all__ = [
     "SIGMA1",
     "SIGMA2",
     "SIGMA3",
-    "SIGMA_PLUS",
-    "SIGMA_MINUS",
     "PauliCoeffs",
     "Unitary2",
     "compose",
@@ -37,8 +35,6 @@ ID2 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-12
@@ -147,20 +143,16 @@ class Unitary2:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise NotUnitary(f"expected a 2x2 matrix, got shape {m.shape}")
-        defect = unitarity_defect(m)
-        if not defect <= UNITARITY_TOL:
-            raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _checked_unitary(m))
 
-    def dagger(self) -> "Unitary2":
-        return Unitary2(self.matrix.conj().T)
 
-    def __matmul__(self, other: "Unitary2") -> "Unitary2":
-        return Unitary2(self.matrix @ other.matrix)
-
-    @classmethod
-    def identity(cls) -> "Unitary2":
-        return cls(ID2)
+def _checked_unitary(u) -> np.ndarray:
+    """The matrix of a Unitary2, 2x2 array or (..., 2, 2) stack; NotUnitary if a defect exceeds UNITARITY_TOL."""
+    m = u.matrix if isinstance(u, Unitary2) else np.asarray(u, dtype=complex)
+    defect = np.max(unitarity_defect(m), initial=0.0)
+    if not defect <= UNITARITY_TOL:
+        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL}")
+    return m
 
 
 def _expm_matrix(p: PauliCoeffs, dt) -> np.ndarray:

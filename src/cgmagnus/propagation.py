@@ -8,7 +8,9 @@ checks in the tests guarding against systematic bias.
 
 A generator is a function of an ndarray of times.  It returns PauliCoeffs
 whose fields broadcast to that shape, or a Hermitian stack of shape
-``ts.shape + (2, 2)``; a constant result is broadcast.
+``ts.shape + (2, 2)``; a constant result is broadcast.  A static generator (a
+PauliCoeffs or Hermitian matrix) is exponentiated exactly.  The step policy
+lives here: ``max_step`` per shortest period and ``_step_count`` per span.
 
 Every propagator comes from ``_product``, which reduces inside intervals and
 scans across them.  Each interval's steps fill rows of width w (the lower
@@ -39,6 +41,7 @@ __all__ = [
     "frame_transform",
     "floquet_splitting",
     "default_floquet_steps",
+    "max_step",
 ]
 
 # Steps per shortest period 2 pi/(epsilon + omega); the CLI's default too.
@@ -82,14 +85,29 @@ def _scan(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _step_count(span, dt):
+    """ceil(span / dt) as a float array, a ratio within 1e-9 (relative) of an integer counting as that integer."""
+    ratio = np.divide(span, dt)
+    nearest = np.round(ratio)
+    return np.where(np.abs(ratio - nearest) <= 1e-9 * nearest, nearest, np.ceil(ratio))
+
+
+def max_step(p: DriveParams, steps_per_period: int) -> float:
+    """Step size 2 pi/((epsilon + omega) * steps_per_period): steps_per_period per shortest period."""
+    return 2.0 * math.pi / (p.epsilon + p.omega) / steps_per_period
+
+
 def _product(h, edges, steps) -> np.ndarray:
     """U(edges[i + 1], edges[0]) for every interval i, shape (len(steps), 2, 2).
 
     Interval i is spanned by steps[i] midpoint factors exp(-i h(t_k) dt_i),
     later steps to the left; an interval with no steps repeats the previous
-    result.  Rows and chunks are laid out as the module docstring says.
+    result.  Rows and chunks are laid out as the module docstring says; a
+    static ``h`` is exponentiated exactly at edges[1:] - edges[0].
     """
     edges = np.asarray(edges, dtype=float)
+    if not callable(h):
+        return _expm_matrix(as_coeffs(h), edges[1:] - edges[0])
     steps = np.asarray(steps, dtype=int)
     dts = np.diff(edges) / np.maximum(steps, 1)
     counts = np.sort(steps[steps > 0])
@@ -126,28 +144,20 @@ def propagate(h, spec: PropagationSpec) -> Unitary2:
     """Time-ordered propagator of h(t) over [t0, t1].
 
     Product of per-step factors exp(-i h(midpoint) dt), later steps to the
-    left.  Each factor is exactly unitary; the global error is O(dt^2).
+    left.  Each factor is exactly unitary; the global error is O(dt^2).  A
+    static ``h`` is exponentiated exactly.
     """
     return Unitary2(_product(h, (spec.t0, spec.t1), (spec.steps,))[0])
 
 
-def propagate_coarse(h_eff, spec: PropagationSpec) -> Unitary2:
-    """Propagator of an effective Hamiltonian; static input short-circuits.
-
-    ``h_eff`` may be a callable of time (handled exactly like
-    :func:`propagate`) or a single PauliCoeffs / Hermitian matrix, in which
-    case one exact exponential over the full interval is returned.
-    """
-    if callable(h_eff):
-        return propagate(h_eff, spec)
-    return Unitary2(_expm_matrix(as_coeffs(h_eff), spec.t1 - spec.t0))
+propagate_coarse = propagate  # the name for effective Hamiltonians, static or not
 
 
 def trajectory(h, ts, dt: float) -> np.ndarray:
     """Propagators U(t, 0), shape (len(ts), 2, 2), on a non-negative monotone grid.
 
-    A callable ``h`` advances between grid times in ceil(gap / dt) midpoint
-    steps (at least one); a static PauliCoeffs / Hermitian matrix is
+    A callable ``h`` advances between grid times in _step_count(gap, dt)
+    midpoint steps (at least one); a static PauliCoeffs / Hermitian matrix is
     exponentiated exactly at each t.
     """
     ts = np.asarray(ts, dtype=float)
@@ -156,9 +166,7 @@ def trajectory(h, ts, dt: float) -> np.ndarray:
         raise ValueError("t_grid must be finite, non-negative and monotone non-decreasing")
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    if not callable(h):
-        return _expm_matrix(as_coeffs(h), ts)
-    steps = np.where(gaps > 0, np.maximum(1, np.ceil(gaps / dt)), 0)
+    steps = np.maximum(_step_count(gaps, dt), gaps > 0)
     return _product(h, np.concatenate(([0.0], ts)), steps)
 
 
@@ -192,8 +200,8 @@ def frame_transform(
 
 
 def default_floquet_steps(p: DriveParams, steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> int:
-    """Steps over one drive period, steps_per_period per shortest period 2 pi/(epsilon + omega)."""
-    return math.ceil(steps_per_period * (p.epsilon + p.omega) / p.omega)
+    """Steps over one drive period at the step ``max_step(p, steps_per_period)``."""
+    return int(_step_count(p.drive_period, max_step(p, steps_per_period)))
 
 
 def floquet_splitting(p: DriveParams, steps: int | None = None) -> float:

@@ -40,9 +40,6 @@ __all__ = [
     "resonant_splitting",
 ]
 
-# |delta| below this multiple of omega counts as exact resonance.
-_RESONANCE_TOL = 1e-12
-
 REGIME_CASES = ("dispersive", "resonant")
 
 
@@ -60,15 +57,14 @@ class Shifts:
 
 def stark_shift(p: DriveParams) -> float:
     """Stark shift W^2 / (2 delta); infinite (with a warning) at resonance."""
-    d = p.detuning
-    if abs(d) < _RESONANCE_TOL * p.omega:
+    if p.is_resonant:
         warnings.warn(
             "Stark shift is undefined at zero detuning; returning inf",
             ResonantStarkWarning,
             stacklevel=2,
         )
         return math.inf
-    return p.amplitude**2 / (2.0 * d)
+    return p.amplitude**2 / (2.0 * p.detuning)
 
 
 def bloch_siegert_shift(p: DriveParams) -> float:
@@ -129,7 +125,7 @@ def _amplitude_ratio_factor(p: DriveParams) -> float:
 
 
 def _require_resonant(p: DriveParams, op: str) -> None:
-    if abs(p.detuning) > _RESONANCE_TOL * p.omega:
+    if not p.is_resonant:
         raise NotResonant(f"{op} requires delta = 0, got delta = {p.detuning}")
 
 
@@ -258,9 +254,7 @@ def validate_regime(
             tau * (p.omega + p.epsilon) / two_pi,
         )
         add("slow_detuning", "|delta|*tau/(2*pi)", abs(p.detuning) * tau / two_pi)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResonantStarkWarning)
-            s_rw = stark_shift(p)
+        s_rw = math.inf if p.is_resonant else stark_shift(p)
         add("stark_window", "2*pi/(S_rw*tau)", window(abs(s_rw) * tau))
     else:
         add("rabi_window", "2*pi/(W*tau)", window(w * tau))

@@ -147,17 +147,6 @@ def test_unitary2_rejects_nan():
     assert math.isnan(unitarity_defect(np.full((2, 2), np.nan)))
 
 
-def test_unitary2_composition_and_dagger(rng):
-    u = Unitary2(random_unitary(rng))
-    v = Unitary2(random_unitary(rng))
-    w = u @ v
-    np.testing.assert_allclose(w.matrix, u.matrix @ v.matrix, atol=0)
-    np.testing.assert_allclose(
-        (u.dagger() @ u).matrix, ID2, atol=1e-14
-    )
-    np.testing.assert_array_equal(Unitary2.identity().matrix, ID2)
-
-
 def test_coeffs_arithmetic():
     a = PauliCoeffs(1, 2, 3, 4)
     b = PauliCoeffs(0.5, -1, 0, 2)

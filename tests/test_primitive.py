@@ -22,9 +22,17 @@ from cgmagnus import (
     h_rw_interaction,
     min_fidelity,
 )
-from cgmagnus.cli import load_config, main
+from cgmagnus.cli import ScenarioConfig, load_config, main
 from cgmagnus.pauli import ID2, _expm_matrix, _mul, as_coeffs
-from cgmagnus.propagation import _BLOCK, PropagationSpec, _scan, propagate, trajectory
+from cgmagnus.propagation import (
+    _BLOCK,
+    PropagationSpec,
+    _scan,
+    _step_count,
+    max_step,
+    propagate,
+    trajectory,
+)
 
 from conftest import random_unitary
 
@@ -76,10 +84,20 @@ def test_trajectory_matches_chained_propagate():
     t_prev = 0.0
     for t, g in zip(ts, got):
         if t > t_prev:
-            spec = PropagationSpec(t_prev, t, max(1, math.ceil((t - t_prev) / dt)))
+            spec = PropagationSpec(t_prev, t, int(_step_count(t - t_prev, dt)))
             u = propagate(h, spec).matrix @ u
             t_prev = t
         assert np.abs(g - u).max() <= 1e-12
+
+
+def test_trajectory_takes_whole_steps_on_the_samples_1001_grid():
+    # Gaps of 0.05 periods are 50 steps of max_step; roundoff in the linspace
+    # grid used to give 493 of the 1000 gaps a 51st step.
+    cfg = ScenarioConfig(epsilon=4.0, amplitude=0.5, models=("rwa",), samples=1001)
+    sizes = []
+    trajectory(lambda t: sizes.append(np.size(t)) or h_interaction(t, DISPERSIVE),
+               cfg.grid_periods() * 2.0 * math.pi, max_step(DISPERSIVE, cfg.steps_per_period))
+    assert sum(sizes) == 50_000
 
 
 @pytest.mark.parametrize("small", [1, 7])
@@ -98,7 +116,7 @@ def test_trajectory_ragged_grid_matches_scalar_loop(small):
     u, t_prev, total = ID2, 0.0, 0
     for t, g in zip(ts, got):
         if t > t_prev:
-            steps = max(1, math.ceil((t - t_prev) / dt))
+            steps = int(_step_count(t - t_prev, dt))
             u = midpoint_reference(h, t_prev, t, steps) @ u
             t_prev, total = t, total + steps
         assert np.abs(g - u).max() <= 1e-12
@@ -212,7 +230,7 @@ def test_simulate_evaluates_exact_generator_once_per_step(tmp_path, monkeypatch)
     loaded = load_config(str(cfg))
     grid = loaded.grid_periods() * 2.0 * math.pi
     dt = 2.0 * math.pi / 5.0 / loaded.steps_per_period
-    counts = [max(1, math.ceil((t1 - t0) / dt)) for t0, t1 in zip(grid, grid[1:])]
+    counts = [int(_step_count(t1 - t0, dt)) for t0, t1 in zip(grid, grid[1:])]
     steps = sum(counts)
     assert sum(np.size(t) for t in calls) == steps
     # One call per chunk of _BLOCK // w rows of w steps, w the capped lower median.

@@ -14,6 +14,7 @@ from cgmagnus import (
     UnknownFramePair,
     Unitary2,
     compute_shifts,
+    expm_pauli,
     floquet_splitting,
     frame_transform,
     h_bar,
@@ -130,6 +131,14 @@ def test_coarse_zero_hamiltonian_identity():
     np.testing.assert_allclose(u.matrix, ID2, atol=0)
 
 
+def test_propagate_accepts_static_generator():
+    h = h_eff_dispersive(DISPERSIVE)
+    spec = PropagationSpec(1.3, 8.4, 5)
+    u = propagate(h, spec).matrix
+    np.testing.assert_allclose(u, propagate_coarse(h, spec).matrix, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(u, expm_pauli(h, 8.4 - 1.3).matrix, rtol=0, atol=1e-15)
+
+
 def test_coarse_resonant_bar_self_refinement():
     beat = 2 * math.pi / RESONANT.amplitude
     h = lambda t: h_eff_resonant_bar(t, RESONANT)
@@ -219,6 +228,12 @@ def test_default_floquet_steps_per_shortest_period():
     assert default_floquet_steps(DriveParams(0.01, 1.0, 0.5)) == 202
     assert default_floquet_steps(DISPERSIVE) == 1000
     assert default_floquet_steps(DISPERSIVE, steps_per_period=7) == 35
+
+
+def test_default_floquet_steps_ignore_roundoff_in_the_period_ratio():
+    # 200 * (1 + k/100) is a whole number of steps; rounding the ratio must not add one.
+    for k in range(1, 1001):
+        assert default_floquet_steps(DriveParams(k / 100, 1.0, 0.5)) == 200 + 2 * k
 
 
 def test_floquet_invariant_under_time_origin_shift(rng):

@@ -23,6 +23,7 @@ from cgmagnus import (
     h_rw_interaction,
     min_fidelity,
     propagate,
+    stark_shift,
     validate_regime,
 )
 from cgmagnus.pauli import _expm_matrix
@@ -59,6 +60,16 @@ def test_s_bs_continuity_at_resonance():
         with pytest.warns(ResonantStarkWarning):
             sh = compute_shifts(p)
         assert sh.s_bs == w * w / 4.0
+
+
+def test_resonance_is_one_decision_at_the_tolerance_edge():
+    # delta = 1e-12 omega exactly: both formulas must agree that this is resonant.
+    p = DriveParams(epsilon=1e12 + 1.0, omega=1e12, amplitude=0.5)
+    h_eff_resonant_interaction(p)  # accepted, not NotResonant
+    with pytest.warns(ResonantStarkWarning):
+        assert math.isinf(stark_shift(p))
+    assert p.is_resonant
+    assert not DriveParams(epsilon=1e12 + 2.0, omega=1e12, amplitude=0.5).is_resonant
 
 
 def test_amplitude_pole():
