@@ -215,14 +215,9 @@ def _run_simulation(cfg: ScenarioConfig):
     grid = periods * _TWO_PI
     dt = max_step(p, cfg.steps_per_period)
     u_exact = trajectory(lambda t: h_interaction(t, p), grid, dt)
-
-    columns = [periods]
-    header = ["t_over_period"]
-    for name in cfg.models:
-        u_model = trajectory(_model_hamiltonian(name, p, cfg.tau), grid, dt)
-        columns.append(min_fidelity(u_exact, u_model))
-        header.append(f"{name}_fidelity")
-    return header, np.column_stack(columns)
+    u_models = [trajectory(_model_hamiltonian(name, p, cfg.tau), grid, dt) for name in cfg.models]
+    header = ["t_over_period"] + [f"{name}_fidelity" for name in cfg.models]
+    return header, np.column_stack([periods, *min_fidelity(u_exact, np.stack(u_models))])
 
 
 def _write_csv(path: str, cfg: ScenarioConfig, header, rows) -> None:

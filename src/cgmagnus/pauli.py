@@ -120,13 +120,15 @@ def decompose(m: np.ndarray) -> PauliCoeffs:
 def unitarity_defect(m: np.ndarray) -> float | np.ndarray:
     """Max of the entrywise deviation of U^dagger U from 1 and of ||det U| - 1|.
 
-    A stack of shape (..., 2, 2) gives one defect per matrix.  NaN entries
-    give a NaN defect, which every ``defect <= tol`` check rejects.
+    A stack of shape (..., 2, 2) gives one defect per matrix; the Gram matrix
+    is formed from the four entries.  NaN entries give a NaN defect, which
+    every ``defect <= tol`` check rejects.
     """
     m = np.asarray(m, dtype=complex)
-    gram = np.abs(m.conj().swapaxes(-1, -2) @ m - ID2).max(axis=(-2, -1))
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    return np.maximum(gram, np.abs(np.abs(det) - 1.0))
+    p, q, r, s = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    diag = np.abs((np.abs(m) ** 2).sum(axis=-2) - 1.0).max(axis=-1)  # |p|^2 + |r|^2 and |q|^2 + |s|^2
+    gram = np.maximum(diag, np.abs(p.conj() * q + r.conj() * s))
+    return np.maximum(gram, np.abs(np.abs(p * s - q * r) - 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,30 +157,53 @@ def _checked_unitary(u) -> np.ndarray:
     return m
 
 
-def _expm_matrix(p: PauliCoeffs, dt) -> np.ndarray:
-    """exp(-i * compose(p) * dt) as a raw ndarray, via the SU(2) closed form.
+def _expm_pair(p: PauliCoeffs, dt) -> np.ndarray:
+    """Cayley-Klein pair (a, b) of exp(-i (compose(p) - c0) dt), as a (2, ...) complex stack.
 
-    Array fields of ``p`` or an array ``dt`` broadcast to a (..., 2, 2) stack,
-    a view of a matrix-axes-first (2, 2, ...) buffer; ``propagation._product``
-    takes that view back for :func:`_mul`.
+    exp(-i r dt n.sigma) = [[a, b], [-b*, a*]] with a = cos(r dt) - i s c3 and
+    b = -s c2 - i s c1, s = sin(r dt) / r; at r = 0, s multiplies only zero
+    coefficients.  The U(1) factor exp(-i c0 dt) is left to the caller.
     """
     r = np.sqrt(p.c1 * p.c1 + p.c2 * p.c2 + p.c3 * p.c3)
     x = r * dt
-    phase = np.exp(-1j * dt * p.c0)
-    c = phase * np.cos(x)
-    # phase * -i sin(r dt) / r; at r = 0 it multiplies only zero coefficients.
-    f = phase * (-1j * (np.sin(x) / np.maximum(r, _TINY)))
-    out = np.empty((2, 2) + c.shape, dtype=complex)
-    out[0, 0] = c + f * p.c3
-    out[0, 1] = f * (p.c1 - 1j * p.c2)
-    out[1, 0] = f * (p.c1 + 1j * p.c2)
-    out[1, 1] = c - f * p.c3
-    return out.transpose(*range(2, out.ndim), 0, 1)  # np.moveaxis costs several times more
+    f = -np.sin(x) / np.maximum(r, _TINY)  # -s
+    ab = np.empty((2,) + np.shape(f), dtype=complex)
+    ab.real[0] = np.cos(x)
+    ab.imag[0] = f * p.c3
+    ab.real[1] = f * p.c2
+    ab.imag[1] = f * p.c1
+    return ab
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2x2 matrices or broadcastable (2, 2, ...) stacks, as two outer products."""
-    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+def _pair_matrix(ab: np.ndarray, phase) -> np.ndarray:
+    """phase * [[a, b], [-b*, a*]] for a (2, ...) stack of pairs (a, b), as a (..., 2, 2) stack."""
+    a, b = ab
+    m = np.empty(a.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = a
+    m[..., 0, 1] = b
+    m[..., 1, 0] = -b.conj()
+    m[..., 1, 1] = a.conj()
+    return m * np.asarray(phase)[..., None, None]
+
+
+def _expm_matrix(p: PauliCoeffs, dt) -> np.ndarray:
+    """exp(-i * compose(p) * dt) as a raw ndarray: exp(-i c0 dt) times the SU(2) matrix of :func:`_expm_pair`.
+
+    Array fields of ``p`` or an array ``dt`` broadcast to a (..., 2, 2) stack.
+    """
+    return _pair_matrix(_expm_pair(p, dt), np.exp(-1j * dt * p.c0))
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pair of [[a1, b1], [-b1*, a1*]] @ [[a2, b2], [-b2*, a2*]]: (a1 a2 - b1 b2*, a1 b2 + b1 a2*).
+
+    ``x`` and ``y`` are (2, ...) pair stacks with equally many axes, broadcast
+    past the first.
+    """
+    out = x[:1] * y
+    out[0] -= x[1] * y[1].conj()
+    out[1] += x[1] * y[0].conj()
+    return out
 
 
 def expm_pauli(p: PauliCoeffs, dt: float) -> Unitary2:

@@ -17,8 +17,13 @@ scans across them.  Each interval's steps fill rows of width w (the lower
 median of the non-empty step counts, at most _BLOCK); identities pad a short
 last row, at most tripling the work, as half the intervals fill a row.  A chunk
 of _BLOCK // w rows calls the generator and the exponential once, multiplies
-each row by a pairwise tree and scans the row products after the carry, on
-(2, 2, ...) stacks with the matrix axes first for pauli._mul.
+each row by a pairwise tree and scans the row products after the carry.
+
+Each step factor is exp(-i c0 dt) times an SU(2) matrix [[a, b], [-b*, a*]],
+so the primitive works on (2, ...) stacks of the Cayley-Klein pairs (a, b),
+multiplied by pauli._mul, and sums the U(1) phase c0 dt per interval apart, in
+real arithmetic.  Only the interval ends are assembled into (n, 2, 2) matrices,
+each multiplied by its accumulated phase once.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateSplittingWarning, UnknownFramePair
 from .model import DriveParams, Frame, h0_coeffs, h_lab, u_x
-from .pauli import ID2, Unitary2, _expm_matrix, _mul, as_coeffs
+from .pauli import ID2, Unitary2, _expm_matrix, _expm_pair, _mul, _pair_matrix, as_coeffs
 
 __all__ = [
     "PropagationSpec",
@@ -49,8 +54,13 @@ DEFAULT_STEPS_PER_PERIOD = 200
 
 # Padded steps per chunk; bounds the chunk memory.  Roundoff in a row's tree
 # grows with log2(w), and one polar projection per chunk keeps the defect far
-# below the 1e-12 Unitary2 invariant.  2048 beat 1024 on the dispersive run.
-_BLOCK = 2048
+# below the 1e-12 Unitary2 invariant.  On pair buffers 8192 beat 4096 and 2048
+# in wall time on both simulate benchmark workloads; its (2, 8192) complex
+# arrays (256 KiB) cost about 1.5 MB of peak RSS and 1,300 minor page faults
+# per dispersive pass, where 2048 faults none (2-vCPU host, numpy 2.4).
+_BLOCK = 8192
+
+_ONE = np.array([[1.0], [0.0]], dtype=complex)  # the pair (1, 0) of the identity, as a (2, 1) stack
 
 
 @dataclass(frozen=True)
@@ -74,7 +84,7 @@ class PropagationSpec:
 
 
 def _scan(m: np.ndarray) -> np.ndarray:
-    """Running products m[..., k] @ ... @ m[..., 0] of a (2, 2, n) stack: Blelloch's work-efficient scan."""
+    """Running products m[..., k] @ ... @ m[..., 0] of a (2, n) pair stack: Blelloch's work-efficient scan."""
     n = m.shape[-1]
     if n == 1:
         return m
@@ -114,7 +124,8 @@ def _product(h, edges, steps) -> np.ndarray:
     w = min(int(counts[(len(counts) - 1) // 2]), _BLOCK) if len(counts) else 1
     rows = -(-steps // w)
     stop = np.cumsum(rows)  # one past each interval's last row
-    ends, u = [ID2[..., None]], ID2[..., None]
+    phi = np.zeros(len(steps))  # sum of c0 dt over each interval
+    ends, u = [_ONE], _ONE
     for start in range(0, int(rows.sum()), _BLOCK // w):
         r = np.arange(start, min(start + _BLOCK // w, stop[-1]))
         i = np.searchsorted(stop, r, side="right")
@@ -122,11 +133,12 @@ def _product(h, edges, steps) -> np.ndarray:
         real = np.arange(w) < (steps[i] - first)[:, None]
         row, col = np.nonzero(real)
         dt = dts[i[row]]
-        e = _expm_matrix(as_coeffs(h(edges[i[row]] + (first[row] + col + 0.5) * dt)), dt)
-        e = e.transpose(1, 2, 0)  # back to the (2, 2, n) buffer
-        m = np.multiply.outer(ID2, np.ones(real.shape))  # identity padding
-        for entry, value in zip(m.reshape((4,) + real.shape), e.reshape(4, -1)):
-            entry[real] = value  # one 2x2 entry at a time: numpy's mask path is slow under leading axes
+        c = as_coeffs(h(edges[i[row]] + (first[row] + col + 0.5) * dt))
+        phi[i[0] : i[-1] + 1] += np.bincount(i[row] - i[0], c.c0 * dt, i[-1] - i[0] + 1)
+        m = np.zeros((2,) + real.shape, dtype=complex)
+        m[0] = 1.0  # identity padding
+        for entry, value in zip(m, _expm_pair(c, dt)):
+            entry[real] = value  # one entry at a time: numpy's mask path is slow under leading axes
         while m.shape[-1] > 1:  # pairwise tree along the rows, later steps to the left
             pairs = _mul(m[..., 1::2], m[..., :-1:2])
             if m.shape[-1] % 2:
@@ -134,10 +146,12 @@ def _product(h, edges, steps) -> np.ndarray:
             m = pairs
         m = _scan(np.concatenate((u, m[..., 0]), axis=-1))
         m = m[..., np.append(np.flatnonzero(r == stop[i] - 1) + 1, -1)]
-        m = _mul(m, 1.5 * ID2[..., None] - 0.5 * _mul(m.conj().swapaxes(0, 1), m))  # first-order polar projection
+        # First-order polar projection; the Gram matrix of a pair is (|a|^2 + |b|^2) 1.
+        m *= 1.5 - 0.5 * (m.real * m.real + m.imag * m.imag).sum(axis=0)
         ends.append(m[..., :-1])
         u = m[..., -1:]
-    return np.moveaxis(np.concatenate(ends, axis=-1)[..., np.cumsum(steps > 0)], -1, 0)
+    ab = np.concatenate(ends, axis=-1)[..., np.cumsum(steps > 0)]
+    return _pair_matrix(ab, np.exp(-1j * np.cumsum(phi)))
 
 
 def propagate(h, spec: PropagationSpec) -> Unitary2:

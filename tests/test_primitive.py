@@ -23,7 +23,7 @@ from cgmagnus import (
     min_fidelity,
 )
 from cgmagnus.cli import ScenarioConfig, load_config, main
-from cgmagnus.pauli import ID2, _expm_matrix, _mul, as_coeffs
+from cgmagnus.pauli import ID2, _expm_matrix, _expm_pair, _mul, _pair_matrix, as_coeffs
 from cgmagnus.propagation import (
     _BLOCK,
     PropagationSpec,
@@ -100,12 +100,10 @@ def test_trajectory_takes_whole_steps_on_the_samples_1001_grid():
     assert sum(sizes) == 50_000
 
 
-@pytest.mark.parametrize("small", [1, 7])
-def test_trajectory_ragged_grid_matches_scalar_loop(small):
+def _check_ragged_grid(h, small):
     # About 200 short gaps around one gap of 3000 steps, with repeated and zero
     # gaps: short intervals set the row width, so the long one spans many rows
     # (a padded last row when small = 7) and crosses chunk boundaries.
-    h = lambda t: h_interaction(t, DISPERSIVE)
     dt = 0.011
     gaps = np.full(203, (small - 0.5) * dt)
     gaps[[0, 40, 41, 150]] = 0.0
@@ -122,6 +120,18 @@ def test_trajectory_ragged_grid_matches_scalar_loop(small):
         assert np.abs(g - u).max() <= 1e-12
     assert max(sizes) <= _BLOCK
     assert sum(sizes) == total == 3000 + 198 * small
+
+
+@pytest.mark.parametrize("small", [1, 7])
+def test_trajectory_ragged_grid_matches_scalar_loop(small):
+    _check_ragged_grid(lambda t: h_interaction(t, DISPERSIVE), small)
+
+
+@pytest.mark.parametrize("small", [1, 7])
+def test_trajectory_ragged_grid_time_dependent_c0_matches_scalar_loop(small):
+    # A time-dependent c0 pins the U(1) phase each interval end carries.
+    _check_ragged_grid(
+        lambda t: h_interaction(t, DISPERSIVE) + PauliCoeffs(0.4 * np.cos(0.9 * t), 0.0, 0.0, 0.0), small)
 
 
 def test_trajectory_empty_and_all_zero_grids():
@@ -151,23 +161,23 @@ def test_array_generators_match_scalar_calls(name, ts):
 @given(n=st.integers(1, 2100), seed=st.integers(0, 2**32 - 1))
 def test_scan_matches_sequential_product(n, seed):
     c = np.random.default_rng(seed).normal(size=(4, n))
-    m = np.moveaxis(_expm_matrix(PauliCoeffs(*c), 0.7), (-2, -1), (0, 1))  # matrix axes first, (2, 2, n)
-    got = _scan(m)
+    m = _expm_pair(PauliCoeffs(*c), 0.7)  # Cayley-Klein pairs, (2, n)
+    got = _pair_matrix(_scan(m), 1.0)
     u = ID2
-    for k in range(n):
-        u = m[..., k] @ u
-        assert np.abs(got[..., k] - u).max() <= 1e-12
+    for k, step in enumerate(_pair_matrix(m, 1.0)):
+        u = step @ u
+        assert np.abs(got[k] - u).max() <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 2100), seed=st.integers(0, 2**32 - 1))
 def test_mul_matches_matmul(n, seed):
-    # Entries with |re|, |im| <= 1/2 keep every product entry within modulus 1.
-    re, im = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(2, 2, 2, 2, n))
-    a, b = re + 1j * im  # matrix axes first, (2, 2, n); a single matrix broadcasts as (2, 2, 1)
+    # Pairs with |re|, |im| <= 1/2 keep every product entry within modulus 1.
+    re, im = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(2, 2, 2, n))
+    a, b = re + 1j * im  # pair stacks, (2, n); a single pair broadcasts as (2, 1)
     for x, y in ((a, b), (a[..., :1], b), (b, a[..., :1]), (a[..., 0], b[..., 0])):
-        want = np.moveaxis(np.moveaxis(x, (0, 1), (-2, -1)) @ np.moveaxis(y, (0, 1), (-2, -1)), (-2, -1), (0, 1))
-        got = _mul(x, y)
+        want = _pair_matrix(x, 1.0) @ _pair_matrix(y, 1.0)
+        got = _pair_matrix(_mul(x, y), 1.0)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15
 
