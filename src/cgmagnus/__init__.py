@@ -52,7 +52,6 @@ from .propagation import (
     floquet_splitting,
     frame_transform,
     propagate,
-    propagate_coarse,
     trajectory,
 )
 from .shifts import (

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .pauli import PauliCoeffs, _expm_matrix, compose, decompose
+from .pauli import PauliCoeffs, _expm_matrix
 
 __all__ = [
     "DriveParams",
@@ -130,24 +130,31 @@ def h_cr_interaction(t: float, p: DriveParams) -> PauliCoeffs:
 def u_x(t: float, p: DriveParams) -> np.ndarray:
     """Rotating-frame transformation U_x(t) = e^{-i H0 t} e^{-i H_rw t}.
 
-    ``H_rw`` is the interaction-picture corotating Hamiltonian, which is static
-    at resonance; away from resonance its instantaneous value at ``t`` is used.
-    Callers relying on the bar frame enforce delta = 0.
+    ``H_rw`` is the interaction-picture corotating Hamiltonian, static at
+    resonance, where U_x is the bar frame.  Off resonance its instantaneous
+    value H_rw(t) is used, so U_x(t) is a frame change by that operator.
     """
     return _expm_matrix(h0_coeffs(p), t) @ _expm_matrix(h_rw_interaction(t, p), t)
 
 
 def h_bar(t: float, p: DriveParams) -> PauliCoeffs:
-    """Counterrotating term conjugated into the rotating (bar) frame.
+    """Lab-frame counterrotating term (W/2)(e^{-i omega t} sigma+ + h.c.) seen through U_x(t).
 
-    Computed numerically as U_x(t)^dagger H_cr(t) U_x(t) with the lab-frame
-    counterrotating term (W/2)(e^{-i omega t} sigma+ + h.c.); at delta = 0 this
-    is the exact generator of the bar-frame dynamics (the tests pin the
-    two-route propagator equivalence).
+    U_x^dagger H_cr U_x is ``h_cr_interaction`` rotated by -W t about the
+    corotating axis (cos delta t, sin delta t, 0) (Rodrigues), in closed form
+
+        _rotating(t, epsilon + omega, (W/2) cos W t)
+        + _rotating(t, delta, (W/2) cos 2 omega t (1 - cos W t))
+        - (W/2) sin 2 omega t sin W t sigma3.
+
+    It generates the bar-frame dynamics at delta = 0 only.
     """
-    ux = u_x(t, p)
-    m = ux.conj().swapaxes(-1, -2) @ compose(_rotating(t, p.omega, 0.5 * p.amplitude)) @ ux
-    return decompose(m)
+    half, wt, two = 0.5 * p.amplitude, p.amplitude * t, 2.0 * p.omega * t
+    return (
+        _rotating(t, p.epsilon + p.omega, half * np.cos(wt))
+        + _rotating(t, p.detuning, half * np.cos(two) * (1.0 - np.cos(wt)))
+        + PauliCoeffs(0.0, 0.0, 0.0, -half * np.sin(two) * np.sin(wt))
+    )
 
 
 def h_rwa(p: DriveParams) -> PauliCoeffs:

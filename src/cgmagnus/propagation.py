@@ -41,7 +41,6 @@ from .pauli import ID2, Unitary2, _expm_matrix, _expm_pair, _mul, _pair_matrix, 
 __all__ = [
     "PropagationSpec",
     "propagate",
-    "propagate_coarse",
     "trajectory",
     "frame_transform",
     "floquet_splitting",
@@ -164,9 +163,6 @@ def propagate(h, spec: PropagationSpec) -> Unitary2:
     return Unitary2(_product(h, (spec.t0, spec.t1), (spec.steps,))[0])
 
 
-propagate_coarse = propagate  # the name for effective Hamiltonians, static or not
-
-
 def trajectory(h, ts, dt: float) -> np.ndarray:
     """Propagators U(t, 0), shape (len(ts), 2, 2), on a non-negative monotone grid.
 
@@ -221,24 +217,21 @@ def default_floquet_steps(p: DriveParams, steps_per_period: int = DEFAULT_STEPS_
 def floquet_splitting(p: DriveParams, steps: int | None = None) -> float:
     """Quasienergy splitting of the driven system, folded into [0, omega/2].
 
-    Diagonalizes the one-period lab-frame propagator (monodromy matrix); the
-    eigenphase gap per period is reduced modulo omega into the first Brillouin
-    zone and the minimal positive splitting is returned.  Emits
+    Reads the rotation angle x of the one-period lab-frame propagator (monodromy)
+    m = e^{-i phi}(cos x - i sin x n.sigma) from its entries, with no eigensolver:
+    the eigenphase gap 2x, folded into [0, pi], per period.  Emits
     DegenerateSplittingWarning when the eigenphases coincide within 1e-10.
     """
     if steps is None:
         steps = default_floquet_steps(p)
     period = p.drive_period
-    u = propagate(lambda t: h_lab(t, p), PropagationSpec(0.0, period, steps))
-    lam = np.linalg.eigvals(u.matrix)
-    # Relative eigenphase, insensitive to the global phase convention.
-    rel = abs(np.angle(lam[0] * np.conj(lam[1])))
+    m = propagate(lambda t: h_lab(t, p), PropagationSpec(0.0, period, steps)).matrix
+    twice_sin = math.hypot(abs(m[0, 0] - m[1, 1]), 2.0 * abs(m[0, 1]))  # 2|sin x|
+    rel = 2.0 * math.atan2(twice_sin, abs(m[0, 0] + m[1, 1]))  # 2x folded into [0, pi]
     if rel < 1e-10:
         warnings.warn(
             "Floquet eigenphases are degenerate within 1e-10",
             DegenerateSplittingWarning,
             stacklevel=2,
         )
-    gap = rel / period
-    gap = math.fmod(gap, p.omega)
-    return min(gap, p.omega - gap)
+    return rel / period

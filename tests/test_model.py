@@ -17,7 +17,7 @@ from cgmagnus import (
     u_x,
 )
 from cgmagnus.model import h0_coeffs
-from cgmagnus.pauli import _expm_matrix
+from cgmagnus.pauli import SIGMA1, SIGMA2, _expm_matrix
 
 FIG_DISPERSIVE = DriveParams(epsilon=4.0, omega=1.0, amplitude=0.5)
 FIG_RESONANT = DriveParams(epsilon=1.0, omega=1.0, amplitude=0.5)
@@ -134,6 +134,25 @@ def test_h_bar_at_origin_equals_counterrotating():
     np.testing.assert_allclose(
         compose(h_bar(0.0, p)), compose(h_cr_interaction(0.0, p)), atol=1e-14
     )
+
+
+@pytest.mark.parametrize("resonant", [True, False])
+def test_h_bar_matches_conjugation_oracle(rng, resonant):
+    # Defining contract: U_x^dagger H_cr,lab U_x with the lab-frame counterrotating
+    # term (W/2)(cos omega t sigma1 + sin omega t sigma2), at every detuning.
+    for _ in range(20):
+        omega = rng.uniform(0.5, 2.0)
+        epsilon = omega if resonant else rng.uniform(0.2, 5.0)
+        p = DriveParams(epsilon, omega, rng.uniform(0.0, 1.5))
+        t = rng.uniform(-20, 20, 64)
+        ux = u_x(t, p)
+        h_cr_lab = 0.5 * p.amplitude * (
+            np.cos(omega * t)[:, None, None] * SIGMA1 + np.sin(omega * t)[:, None, None] * SIGMA2
+        )
+        oracle = ux.conj().swapaxes(-1, -2) @ h_cr_lab @ ux
+        np.testing.assert_allclose(
+            compose(h_bar(t, p)), oracle, rtol=0, atol=1e-13 * max(p.amplitude, 1.0)
+        )
 
 
 def test_h_bar_zero_drive():

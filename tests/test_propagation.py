@@ -23,7 +23,6 @@ from cgmagnus import (
     h_interaction,
     h_lab,
     propagate,
-    propagate_coarse,
     resonant_splitting,
 )
 from cgmagnus.pauli import ID2, SIGMA1, unitarity_defect
@@ -118,7 +117,7 @@ def test_coarse_static_dispersive_phase():
     sh = compute_shifts(p)
     total = sh.s_rw + sh.s_bs
     t = 7.7
-    u = propagate_coarse(heff, PropagationSpec(0.0, t, 1)).matrix
+    u = propagate(heff, PropagationSpec(0.0, t, 1)).matrix
     np.testing.assert_allclose(
         u,
         np.diag([np.exp(1j * total * t / 2), np.exp(-1j * total * t / 2)]),
@@ -127,7 +126,7 @@ def test_coarse_static_dispersive_phase():
 
 
 def test_coarse_zero_hamiltonian_identity():
-    u = propagate_coarse(PauliCoeffs(0, 0, 0, 0), PropagationSpec(0.0, 5.0, 1))
+    u = propagate(PauliCoeffs(0, 0, 0, 0), PropagationSpec(0.0, 5.0, 1))
     np.testing.assert_allclose(u.matrix, ID2, atol=0)
 
 
@@ -135,15 +134,15 @@ def test_propagate_accepts_static_generator():
     h = h_eff_dispersive(DISPERSIVE)
     spec = PropagationSpec(1.3, 8.4, 5)
     u = propagate(h, spec).matrix
-    np.testing.assert_allclose(u, propagate_coarse(h, spec).matrix, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(u, propagate(h, spec).matrix, rtol=0, atol=1e-15)
     np.testing.assert_allclose(u, expm_pauli(h, 8.4 - 1.3).matrix, rtol=0, atol=1e-15)
 
 
 def test_coarse_resonant_bar_self_refinement():
     beat = 2 * math.pi / RESONANT.amplitude
     h = lambda t: h_eff_resonant_bar(t, RESONANT)
-    u40 = propagate_coarse(h, PropagationSpec(0.0, beat, 40)).matrix
-    u400 = propagate_coarse(h, PropagationSpec(0.0, beat, 400)).matrix
+    u40 = propagate(h, PropagationSpec(0.0, beat, 40)).matrix
+    u400 = propagate(h, PropagationSpec(0.0, beat, 400)).matrix
     assert np.linalg.norm(u40 - u400, 2) < 1e-4
 
 
@@ -215,6 +214,14 @@ def test_floquet_zero_drive_folds_to_zero():
     with pytest.warns(DegenerateSplittingWarning):
         gap = floquet_splitting(p, steps=500)
     assert abs(gap) < 1e-9
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 0.7, 1.3, 1.5, 2.5])
+def test_floquet_zero_drive_folds_into_the_first_zone(epsilon):
+    # The bare splitting epsilon folds to its distance from the nearest multiple
+    # of omega; epsilon = 1.5 and 2.5 sit on the zone edge omega/2.
+    gap = floquet_splitting(DriveParams(epsilon, 1.0, 0.0))
+    assert abs(gap - abs(epsilon - round(epsilon))) < 1e-12
 
 
 def test_floquet_matches_resonant_prediction_small_drive():
