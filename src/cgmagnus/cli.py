@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AmplitudePole, ConfigError, MagnusError
-from .fidelity import min_fidelity
+from .fidelity import FidelitySample, min_fidelity
 from .magnus import _MIN_DETUNING_TAU, h_eff_order2_analytic
 from .model import DriveParams, h_interaction, h_rw_interaction
 from .pauli import PauliCoeffs
@@ -355,11 +355,19 @@ def _read_external_csv(path: str):
             raise ConfigError(f"external: malformed row {ln!r}") from exc
         if not np.isfinite(rows[-1]).all():
             raise ConfigError(f"external: non-finite value in row {ln!r}")
+        try:
+            FidelitySample(*rows[-1])
+        except ValueError as exc:
+            raise ConfigError(f"external: {exc} in row {ln!r}") from exc
     if not rows:
         raise ConfigError("external: CSV has no data rows")
     ts, fs = np.array(rows).T
     order = np.argsort(ts)
-    return ts[order], fs[order]
+    ts, fs = ts[order], fs[order]
+    repeated = ts[1:][np.diff(ts) == 0]
+    if len(repeated):  # np.interp would take whichever row argsort put last
+        raise ConfigError(f"external: t_over_period {repeated[0]:g} appears more than once")
+    return ts, fs
 
 
 def cmd_compare_external(cfg: ScenarioConfig, external_path: str) -> int:

@@ -14,10 +14,15 @@ lives here: ``max_step`` per shortest period and ``_step_count`` per span.
 
 Every propagator comes from ``_product``, which reduces inside intervals and
 scans across them.  Each interval's steps fill rows of width w (the lower
-median of the non-empty step counts, at most _BLOCK); identities pad a short
-last row, at most tripling the work, as half the intervals fill a row.  A chunk
-of _BLOCK // w rows calls the generator and the exponential once, multiplies
-each row by a pairwise tree and scans the row products after the carry.
+median of the non-empty step counts, at most _BLOCK), so a chunk of
+_BLOCK // w rows is a dense (rows, w) lattice of steps.  Its midpoint times are
+broadcast from the row starts and the column offsets, and it calls the
+generator and the exponential once, on its real steps only.  A chunk of full
+rows reshapes the exponentials straight into the lattice; only a chunk that
+holds an interval's short last row pads it with identities, at most tripling
+the work, as half the intervals fill a row.  A pairwise tree multiplies each
+row, and the row products of a block of up to _BLOCK rows, a whole number of
+chunks, are scanned once after the carry and re-projected once.
 
 Each step factor is exp(-i c0 dt) times an SU(2) matrix [[a, b], [-b*, a*]],
 so the primitive works on (2, ...) stacks of the Cayley-Klein pairs (a, b),
@@ -51,13 +56,15 @@ __all__ = [
 # Steps per shortest period 2 pi/(epsilon + omega); the CLI's default too.
 DEFAULT_STEPS_PER_PERIOD = 200
 
-# Padded steps per chunk; bounds the chunk memory.  Roundoff in a row's tree
-# grows with log2(w), and one polar projection per chunk keeps the defect far
-# below the 1e-12 Unitary2 invariant.  On pair buffers 8192 beat 4096 and 2048
-# in wall time on both simulate benchmark workloads; its (2, 8192) complex
-# arrays (256 KiB) cost about 1.5 MB of peak RSS and 1,300 minor page faults
-# per dispersive pass, where 2048 faults none (2-vCPU host, numpy 2.4).
-_BLOCK = 8192
+# Padded steps per generator call, and the most rows one scan takes; bounds the
+# chunk memory.  Roundoff in a row's tree grows with log2(w), and one polar
+# projection per scan block keeps the defect far below the 1e-12 Unitary2
+# invariant.  On the step lattice 4096 beat 2048 and 8192 on the dispersive
+# simulate benchmark (22.5 ms a pass in-process against 28.1 and 24.9) and
+# faults no page per pass, where the (2, 8192) complex temporaries of 8192
+# fault about 1,900; resonant_dense, 5 steps a row, runs 8% faster at 8192
+# (12.8 against 13.9 ms; 2-vCPU host, numpy 2.4).
+_BLOCK = 4096
 
 _ONE = np.array([[1.0], [0.0]], dtype=complex)  # the pair (1, 0) of the identity, as a (2, 1) stack
 
@@ -111,8 +118,9 @@ def _product(h, edges, steps) -> np.ndarray:
 
     Interval i is spanned by steps[i] midpoint factors exp(-i h(t_k) dt_i),
     later steps to the left; an interval with no steps repeats the previous
-    result.  Rows and chunks are laid out as the module docstring says; a
-    static ``h`` is exponentiated exactly at edges[1:] - edges[0].
+    result.  The steps form the (rows, w) lattice, chunks and scan blocks of
+    the module docstring; a static ``h`` is exponentiated exactly at
+    edges[1:] - edges[0].
     """
     edges = np.asarray(edges, dtype=float)
     if not callable(h):
@@ -123,32 +131,49 @@ def _product(h, edges, steps) -> np.ndarray:
     w = min(int(counts[(len(counts) - 1) // 2]), _BLOCK) if len(counts) else 1
     rows = -(-steps // w)
     stop = np.cumsum(rows)  # one past each interval's last row
+    chunk = _BLOCK // w  # rows per generator call
+    block = _BLOCK - _BLOCK % chunk  # rows per scan: a whole number of chunks
     phi = np.zeros(len(steps))  # sum of c0 dt over each interval
     ends, u = [_ONE], _ONE
-    for start in range(0, int(rows.sum()), _BLOCK // w):
-        r = np.arange(start, min(start + _BLOCK // w, stop[-1]))
+    for start in range(0, int(rows.sum()), block):
+        r = np.arange(start, min(start + block, stop[-1]))
         i = np.searchsorted(stop, r, side="right")
         first = (r - stop[i] + rows[i]) * w  # index in its interval of each row's first step
-        real = np.arange(w) < (steps[i] - first)[:, None]
-        row, col = np.nonzero(real)
-        dt = dts[i[row]]
-        c = as_coeffs(h(edges[i[row]] + (first[row] + col + 0.5) * dt))
-        phi[i[0] : i[-1] + 1] += np.bincount(i[row] - i[0], c.c0 * dt, i[-1] - i[0] + 1)
-        m = np.zeros((2,) + real.shape, dtype=complex)
-        m[0] = 1.0  # identity padding
-        for entry, value in zip(m, _expm_pair(c, dt)):
-            entry[real] = value  # one entry at a time: numpy's mask path is slow under leading axes
-        while m.shape[-1] > 1:  # pairwise tree along the rows, later steps to the left
-            pairs = _mul(m[..., 1::2], m[..., :-1:2])
-            if m.shape[-1] % 2:
-                pairs[..., -1:] = _mul(m[..., -1:], pairs[..., -1:])
-            m = pairs
-        m = _scan(np.concatenate((u, m[..., 0]), axis=-1))
-        m = m[..., np.append(np.flatnonzero(r == stop[i] - 1) + 1, -1)]
+        n = np.minimum(steps[i] - first, w)  # real steps in each row
+        prod = np.empty((2, len(r) + 1), dtype=complex)  # the carry, then each row's product
+        prod[:, :1] = u
+        row_phi = np.zeros(len(r))  # sum of c0 dt over each row
+        for s in range(0, len(r), chunk):
+            ik, nk = i[s : s + chunk], n[s : s + chunk]
+            t = (first[s : s + chunk, None] + 0.5) + np.arange(w)  # midpoints, in steps from the start
+            t *= dts[ik, None]
+            t += edges[ik, None]
+            real = None if nk.min() == w else np.arange(w) < nk[:, None]  # no mask on full rows
+            dt = np.repeat(dts[ik], nk)
+            c = as_coeffs(h(t.ravel() if real is None else t[real]))
+            if np.any(c.c0):
+                row_phi[s : s + chunk] = np.add.reduceat(c.c0 * dt, np.cumsum(nk) - nk)
+            m = _expm_pair(c, dt)
+            if real is None:
+                m = m.reshape(2, len(ik), w)
+            else:
+                pad = np.zeros((2,) + real.shape, dtype=complex)
+                pad[0] = 1.0  # identity padding
+                for entry, value in zip(pad, m):
+                    entry[real] = value  # one entry at a time: numpy's mask path is slow under leading axes
+                m = pad
+            while m.shape[-1] > 1:  # pairwise tree along the rows, later steps to the left
+                pairs = _mul(m[..., 1::2], m[..., :-1:2])
+                if m.shape[-1] % 2:
+                    pairs[..., -1:] = _mul(m[..., -1:], pairs[..., -1:])
+                m = pairs
+            prod[:, s + 1 : s + 1 + len(ik)] = m[..., 0]
+        phi[i[0] : i[-1] + 1] += np.bincount(i - i[0], row_phi, i[-1] - i[0] + 1)
+        prod = _scan(prod)[..., np.append(np.flatnonzero(r == stop[i] - 1) + 1, -1)]
         # First-order polar projection; the Gram matrix of a pair is (|a|^2 + |b|^2) 1.
-        m *= 1.5 - 0.5 * (m.real * m.real + m.imag * m.imag).sum(axis=0)
-        ends.append(m[..., :-1])
-        u = m[..., -1:]
+        prod *= 1.5 - 0.5 * (prod.real * prod.real + prod.imag * prod.imag).sum(axis=0)
+        ends.append(prod[..., :-1])
+        u = prod[..., -1:]
     ab = np.concatenate(ends, axis=-1)[..., np.cumsum(steps > 0)]
     return _pair_matrix(ab, np.exp(-1j * np.cumsum(phi)))
 

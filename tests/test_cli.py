@@ -423,6 +423,43 @@ def test_compare_external_rejects_non_finite_and_empty(tmp_path, capsys, rows):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rows,needle",
+    [
+        ("0,1\n0.5,0.2\n0.5,0.9\n5,1\n", "0.5 appears more than once"),
+        ("5,1\n0,1\n5,0.9\n", "5 appears more than once"),
+        ("0,1\n2,7\n5,1\n", "fidelity 7.0 outside"),
+        ("0,1\n2,-3\n5,1\n", "fidelity -3.0 outside"),
+        ("0,1\n2,1.000001\n5,1\n", "outside [0, 1 + 1e-12]"),
+    ],
+)
+def test_compare_external_rejects_repeated_times_and_bad_fidelities(tmp_path, capsys, rows, needle):
+    cfg = write_cfg(tmp_path, samples="9", t_max_periods="4")
+    ext = tmp_path / "ext.csv"
+    ext.write_text("t_over_period,fidelity\n" + rows, encoding="utf-8")
+    out = tmp_path / "m.csv"
+    rc = main(["compare-external", "--config", str(cfg), "--external", str(ext),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "external: " in err and needle in err
+    assert not out.exists()
+
+
+def test_compare_external_accepts_fidelities_at_the_range_ends(tmp_path):
+    # [0, 1 + 1e-12] is the FidelitySample range: roundoff just above 1 passes.
+    cfg = write_cfg(tmp_path, samples="9", t_max_periods="4")
+    ext = tmp_path / "ext.csv"
+    ext.write_text("t_over_period,fidelity\n0,0\n2,1.0000000000005\n4,1\n", encoding="utf-8")
+    out = tmp_path / "m.csv"
+    rc = main(["compare-external", "--config", str(cfg), "--external", str(ext),
+               "--out", str(out)])
+    assert rc == 0
+    _, _, rows = read_csv(out)
+    want = np.interp(np.linspace(0.0, 4.0, 9), [0, 2, 4], [0, 1.0000000000005, 1])
+    np.testing.assert_allclose(rows[:, -1], want)
+
+
 def test_compare_external_missing_columns_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     ext = tmp_path / "ext.csv"

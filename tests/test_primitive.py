@@ -22,8 +22,8 @@ from cgmagnus import (
     h_rw_interaction,
     min_fidelity,
 )
-from cgmagnus.cli import ScenarioConfig, load_config, main
-from cgmagnus.pauli import ID2, _expm_matrix, _expm_pair, _mul, _pair_matrix, as_coeffs
+from cgmagnus.cli import ScenarioConfig, _model_hamiltonian, load_config, main
+from cgmagnus.pauli import ID2, _expm_matrix, _expm_pair, _mul, _pair_matrix, as_coeffs, unitarity_defect
 from cgmagnus.propagation import (
     _BLOCK,
     PropagationSpec,
@@ -63,7 +63,12 @@ def midpoint_reference(h, t0, t1, steps):
     return u
 
 
-@pytest.mark.parametrize("steps", [1, 1000, 2500, 1024, 1025, 2049])
+@pytest.mark.parametrize(
+    "steps",
+    # _BLOCK steps fill one generator call exactly; one more starts a second.
+    [1, 1000, 2500, 1024, 1025, 2049,
+     pytest.param(_BLOCK, id="block"), pytest.param(_BLOCK + 1, id="block+1")],
+)
 @pytest.mark.parametrize(
     "h",
     [lambda t: h_interaction(t, DISPERSIVE), lambda t: h_lab(t, DISPERSIVE)],
@@ -72,6 +77,56 @@ def midpoint_reference(h, t0, t1, steps):
 def test_propagate_matches_scalar_loop(h, steps):
     u = propagate(h, PropagationSpec(0.3, 7.9, steps)).matrix
     assert np.abs(u - midpoint_reference(h, 0.3, 7.9, steps)).max() <= 1e-12
+
+
+def test_trajectory_carry_crosses_scan_blocks():
+    # One step per interval makes every row one step wide, so _BLOCK + 300
+    # intervals take two chunks and two scans, with the carry between them.
+    h = lambda t: h_interaction(t, DISPERSIVE)
+    dt = 0.01
+    gaps = np.random.default_rng(5).uniform(0.3, 1.0, _BLOCK + 300) * dt
+    ts = np.cumsum(gaps)
+    sizes = []
+    got = trajectory(lambda t: sizes.append(np.size(t)) or h(t), ts, dt)
+    assert sizes == [_BLOCK, 300]
+    u, t_prev = ID2, 0.0
+    for t, gap, g in zip(ts, gaps, got):
+        u = expm_pauli(as_coeffs(h(t_prev + 0.5 * gap)), gap).matrix @ u
+        t_prev = t
+        assert np.abs(g - u).max() <= 1e-12
+
+
+def test_trajectory_full_rows_over_several_chunks_match_chained_propagate():
+    # Step counts 40, 80 and 120 with lower median 40: every row is full, no
+    # row is padded, and long intervals straddle the chunk boundaries.
+    h = lambda t: h_interaction(t, DISPERSIVE) + PauliCoeffs(0.4 * np.cos(0.9 * t), 0.0, 0.0, 0.0)
+    rng = np.random.default_rng(11)
+    counts = rng.choice([40, 80, 120], size=2 * _BLOCK // 40, p=[0.6, 0.2, 0.2])
+    dt = 0.007
+    ts = np.cumsum((counts - rng.uniform(0.05, 0.9, counts.size)) * dt)
+    sizes = []
+    got = trajectory(lambda t: sizes.append(np.size(t)) or h(t), ts, dt)
+    assert sorted(counts)[(counts.size - 1) // 2] == 40
+    assert len(sizes) >= 3 and set(sizes[:-1]) == {_BLOCK // 40 * 40}
+    assert sum(sizes) == counts.sum()
+    u, t_prev = ID2, 0.0
+    for t, n, g in zip(ts, counts, got):
+        u = propagate(h, PropagationSpec(t_prev, t, int(n))).matrix @ u
+        t_prev = t
+        assert np.abs(g - u).max() <= 1e-12
+
+
+def test_dispersive_benchmark_trajectories_stay_unitary():
+    # One polar projection per scan block keeps every interval end of the
+    # simulate benchmark grid within 1e-14 of unitary (6.7e-16 measured).
+    cfg = ScenarioConfig(epsilon=4.0, amplitude=0.5, tau_periods=5.0, models=("magnus2", "rwa"),
+                         t_max_periods=50.0, samples=500)
+    grid = cfg.grid_periods() * 2.0 * math.pi
+    dt = max_step(DISPERSIVE, cfg.steps_per_period)
+    hs = [lambda t: h_interaction(t, DISPERSIVE)]
+    hs += [_model_hamiltonian(name, DISPERSIVE, cfg.tau) for name in cfg.models]
+    for h in hs:
+        assert unitarity_defect(trajectory(h, grid, dt)).max() <= 1e-14
 
 
 def test_trajectory_matches_chained_propagate():
