@@ -17,7 +17,7 @@ from .errors import (
     ResonantStarkWarning,
     UnknownFramePair,
 )
-from .fidelity import FidelitySample, fidelity_series, min_fidelity, min_fidelity_bruteforce
+from .fidelity import fidelity_series, min_fidelity, min_fidelity_bruteforce
 from .magnus import (
     QuadratureSpec,
     Window,

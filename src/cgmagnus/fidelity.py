@@ -9,32 +9,18 @@ frame gives the same value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DriveParams, Frame
 from .pauli import _checked_unitary
-from .propagation import _to_lab_factor, trajectory
+from .propagation import frame_transform, trajectory
 
 __all__ = [
-    "FidelitySample",
     "min_fidelity",
     "min_fidelity_bruteforce",
     "fidelity_series",
 ]
-
-
-@dataclass(frozen=True)
-class FidelitySample:
-    """Minimized fidelity at one time; the value must lie in [0, 1 + 1e-12]."""
-
-    t: float
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0 + 1e-12:
-            raise ValueError(f"fidelity {self.value} outside [0, 1 + 1e-12]")
 
 
 def min_fidelity(u, u_eff) -> float | np.ndarray:
@@ -81,21 +67,21 @@ def fidelity_series(
     dt: float,
     frames: tuple[Frame, Frame] | None = None,
     params: DriveParams | None = None,
-) -> list[FidelitySample]:
-    """Minimized fidelity of two evolutions from t = 0 along a monotone time grid.
+) -> np.ndarray:
+    """Minimized fidelity of two evolutions from t = 0, one F per time of a monotone grid.
 
     Both generators are propagated by :func:`trajectory` with maximum step
-    size ``dt``; a static ``h_eff`` (PauliCoeffs) is exponentiated exactly.
-    By default both Hamiltonians are taken in the same frame; pass
-    ``frames=(frame_exact, frame_eff)`` with ``params`` to align the two
-    propagators in the lab frame first (any common frame is equivalent by
-    unitary invariance).
+    size ``dt`` (a static ``h_eff``, PauliCoeffs, is exponentiated exactly),
+    and the two stacks are scored by :func:`min_fidelity`.  By default both
+    Hamiltonians are taken in the same frame; pass
+    ``frames=(frame_exact, frame_eff)`` with ``params`` to carry the effective
+    propagators into the exact frame by :func:`frame_transform` first (F is
+    invariant under a common frame factor).
     """
     if frames is not None and params is None:
         raise ValueError("params are required when frames are given")
     ts = np.asarray(t_grid, dtype=float)
-    us = [trajectory(h, ts, dt) for h in (h_exact, h_eff)]
+    u, u_eff = (trajectory(h, ts, dt) for h in (h_exact, h_eff))
     if frames is not None:
-        us = [_to_lab_factor(frm, ts, params) @ u for u, frm in zip(us, frames)]
-    values = min_fidelity(*us)
-    return [FidelitySample(t=t, value=float(v)) for t, v in zip(ts.tolist(), values)]
+        u_eff = frame_transform(u_eff, frames[1], frames[0], ts, params)
+    return min_fidelity(u, u_eff)

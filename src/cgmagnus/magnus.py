@@ -31,6 +31,7 @@ cross-check tests).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -100,6 +101,8 @@ class QuadratureSpec:
     points: int = 64
 
     def __post_init__(self):
+        if not isinstance(self.points, numbers.Integral):
+            raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 4:
             raise ValueError(f"points must be >= 4, got {self.points}")
 

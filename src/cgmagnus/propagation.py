@@ -13,9 +13,10 @@ PauliCoeffs or Hermitian matrix) is exponentiated exactly.  The step policy
 lives here: ``max_step`` per shortest period and ``_step_count`` per span.
 
 Every propagator comes from ``_product``, which reduces inside intervals and
-scans across them.  Each interval's steps fill rows of width w (the lower
-median of the non-empty step counts, at most _BLOCK), so a chunk of
-_BLOCK // w rows is a dense (rows, w) lattice of steps.  Its midpoint times are
+scans across them.  Each interval's steps fill rows of width w: the lower
+median m of the non-empty step counts, split into ceil(m / _BLOCK) equal
+rows, so w is at most _BLOCK.  A chunk of _BLOCK // w rows is a dense
+(rows, w) lattice of steps.  Its midpoint times are
 broadcast from the row starts and the column offsets, and it calls the
 generator and the exponential once, on its real steps only.  A chunk of full
 rows reshapes the exponentials straight into the lattice; only a chunk that
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import DegenerateSplittingWarning, UnknownFramePair
 from .model import DriveParams, Frame, h0_coeffs, h_lab, u_x
-from .pauli import ID2, Unitary2, _expm_matrix, _expm_pair, _mul, _pair_matrix, as_coeffs
+from .pauli import ID2, Unitary2, _checked_unitary, _expm_matrix, _expm_pair, _mul, _pair_matrix, as_coeffs
 
 __all__ = [
     "PropagationSpec",
@@ -128,7 +129,8 @@ def _product(h, edges, steps) -> np.ndarray:
     steps = np.asarray(steps, dtype=int)
     dts = np.diff(edges) / np.maximum(steps, 1)
     counts = np.sort(steps[steps > 0])
-    w = min(int(counts[(len(counts) - 1) // 2]), _BLOCK) if len(counts) else 1
+    m = int(counts[(len(counts) - 1) // 2]) if len(counts) else 1
+    w = -(-m // -(-m // _BLOCK))  # m split into ceil(m / _BLOCK) equal rows
     rows = -(-steps // w)
     stop = np.cumsum(rows)  # one past each interval's last row
     chunk = _BLOCK // w  # rows per generator call
@@ -216,22 +218,22 @@ def _to_lab_factor(frame: Frame, t, p: DriveParams) -> np.ndarray:
     raise UnknownFramePair(f"unknown frame {frame!r}")
 
 
-def frame_transform(
-    u: Unitary2, frm: Frame, to: Frame, t: float, p: DriveParams
-) -> Unitary2:
-    """Re-express a propagator U(t, 0) from frame ``frm`` in frame ``to``.
+def frame_transform(u, frm: Frame, to: Frame, t, p: DriveParams):
+    """Re-express propagators U(t, 0) from frame ``frm`` in frame ``to``.
 
-    All frames coincide at t = 0, so propagators transform with a single
-    factor at the endpoint: U_to = L_to(t)^dagger L_frm(t) U.  Composing
-    A->B then B->C equals A->C by construction.
+    ``u`` is a Unitary2, a 2x2 array, or an (n, 2, 2) stack with ``t`` an
+    array of its n times, as :func:`min_fidelity` takes them; a Unitary2
+    gives a Unitary2, an array an array.  All frames coincide at t = 0, so
+    propagators transform with a single factor at the endpoint:
+    U_to = L_to(t)^dagger L_frm(t) U.  Composing A->B then B->C equals A->C
+    by construction.
     """
     if not isinstance(frm, Frame) or not isinstance(to, Frame):
         raise UnknownFramePair(f"unsupported frame pair ({frm!r}, {to!r})")
-    if frm is to:
-        return u
-    l_from = _to_lab_factor(frm, t, p)
-    l_to = _to_lab_factor(to, t, p)
-    return Unitary2(l_to.conj().T @ l_from @ u.matrix)
+    m = _checked_unitary(u)
+    if frm is not to:
+        m = _to_lab_factor(to, t, p).conj().swapaxes(-1, -2) @ _to_lab_factor(frm, t, p) @ m
+    return Unitary2(m) if isinstance(u, Unitary2) else m
 
 
 def default_floquet_steps(p: DriveParams, steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> int:

@@ -65,8 +65,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 def _min_series(h_exact, h_eff):
     grid = np.linspace(0.0, N_PERIODS * 2.0 * math.pi, SAMPLES)
-    series = fidelity_series(h_exact, h_eff, grid, DT)
-    return min(s.value for s in series)
+    return float(fidelity_series(h_exact, h_eff, grid, DT).min())
 
 
 @pytest.fixture(scope="module")

@@ -202,6 +202,18 @@ def test_readme_config_block_parses(tmp_path):
     assert (cfg.t_max_periods, cfg.samples, cfg.out) == (50.0, 500, "fidelities.csv")
 
 
+def test_readme_library_examples_run(capsys):
+    # The two library examples run in one namespace and print the same minimum F.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    first, second = capsys.readouterr().out.split()
+    assert first == second and 0.0 < float(first) <= 1.0
+
+
 def test_effective_lines_every_optional_field(tmp_path):
     path = tmp_path / "all.cfg"
     path.write_text(
@@ -447,7 +459,7 @@ def test_compare_external_rejects_repeated_times_and_bad_fidelities(tmp_path, ca
 
 
 def test_compare_external_accepts_fidelities_at_the_range_ends(tmp_path):
-    # [0, 1 + 1e-12] is the FidelitySample range: roundoff just above 1 passes.
+    # External fidelities must lie in [0, 1 + 1e-12]: roundoff just above 1 passes.
     cfg = write_cfg(tmp_path, samples="9", t_max_periods="4")
     ext = tmp_path / "ext.csv"
     ext.write_text("t_over_period,fidelity\n0,0\n2,1.0000000000005\n4,1\n", encoding="utf-8")

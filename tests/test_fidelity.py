@@ -15,6 +15,7 @@ from cgmagnus import (
     h_lab,
     min_fidelity,
     min_fidelity_bruteforce,
+    trajectory,
 )
 from cgmagnus.pauli import ID2
 
@@ -121,16 +122,17 @@ def test_series_identical_hamiltonians():
     h = lambda t: h_interaction(t, DISPERSIVE)
     grid = np.linspace(0.0, 10.0, 20)
     out = fidelity_series(h, h, grid, dt=0.01)
-    assert out[0].t == 0.0 and out[0].value == pytest.approx(1.0, abs=1e-14)
-    assert all(s.value > 1.0 - 1e-10 for s in out)
-    assert [s.t for s in out] == sorted(s.t for s in out)
+    assert out.shape == grid.shape and out[0] == pytest.approx(1.0, abs=1e-14)
+    assert np.all(out > 1.0 - 1e-10)
 
 
 def test_series_static_effective_side():
     heff = PauliCoeffs(0, 0, 0, -1.0 / 30.0)
     grid = np.linspace(0.0, 5.0, 6)
-    out = fidelity_series(lambda t: h_interaction(t, DISPERSIVE), heff, grid, dt=0.05)
-    assert all(0.0 <= s.value <= 1.0 + 1e-12 for s in out)
+    h = lambda t: h_interaction(t, DISPERSIVE)
+    out = fidelity_series(h, heff, grid, dt=0.05)
+    assert np.all((0.0 <= out) & (out <= 1.0 + 1e-12))
+    assert np.array_equal(out, min_fidelity(trajectory(h, grid, 0.05), trajectory(heff, grid, 0.05)))
 
 
 def test_series_validates_grid():
@@ -154,7 +156,7 @@ def test_series_frame_alignment_two_route():
         frames=(Frame.LAB, Frame.INTERACTION),
         params=p,
     )
-    assert all(s.value > 1.0 - 1e-8 for s in out)
+    assert np.all(out > 1.0 - 1e-8)
 
 
 def test_series_requires_params_with_frames():

@@ -53,6 +53,14 @@ def test_quadrature_spec_validation():
         QuadratureSpec(points=2)
 
 
+def test_quadrature_spec_rejects_non_integer_points():
+    # A float node count used to pass here and fail later inside numpy's leggauss.
+    for points in (4.5, 64.0):
+        with pytest.raises(ValueError, match="points must be an integer"):
+            QuadratureSpec(points=points)
+    assert QuadratureSpec(points=np.int64(8)).points == 8
+
+
 def test_f1_constant_hamiltonian():
     c, tau = 0.7, 2.5
     h = lambda s: PauliCoeffs(0, 0, 0, c)

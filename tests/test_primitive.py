@@ -67,7 +67,7 @@ def midpoint_reference(h, t0, t1, steps):
     "steps",
     # _BLOCK steps fill one generator call exactly; one more starts a second.
     [1, 1000, 2500, 1024, 1025, 2049,
-     pytest.param(_BLOCK, id="block"), pytest.param(_BLOCK + 1, id="block+1")],
+     pytest.param(_BLOCK, id="block"), pytest.param(_BLOCK + 1, id="block+1"), 5000],
 )
 @pytest.mark.parametrize(
     "h",
@@ -77,6 +77,15 @@ def midpoint_reference(h, t0, t1, steps):
 def test_propagate_matches_scalar_loop(h, steps):
     u = propagate(h, PropagationSpec(0.3, 7.9, steps)).matrix
     assert np.abs(u - midpoint_reference(h, 0.3, 7.9, steps)).max() <= 1e-12
+
+
+def test_long_interval_splits_into_equal_rows():
+    # 5000 steps, a little over _BLOCK, take two rows of 2500 steps each (and
+    # two generator calls), not a full row plus one padded with identities.
+    sizes = []
+    h = lambda t: sizes.append(np.size(t)) or h_lab(t, DISPERSIVE)
+    propagate(h, PropagationSpec(0.0, 0.4, 5000))
+    assert sizes == [2500, 2500]
 
 
 def test_trajectory_carry_crosses_scan_blocks():
