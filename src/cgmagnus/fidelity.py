@@ -9,6 +9,7 @@ frame gives the same value.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -42,6 +43,8 @@ def min_fidelity_bruteforce(u, u_eff, grid_n: int = 100) -> float:
     A grid minimum can only overestimate the true minimum, so this is a
     one-sided oracle for :func:`min_fidelity`.
     """
+    if not isinstance(grid_n, numbers.Integral):
+        raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
     a = _checked_unitary(u)

@@ -100,10 +100,14 @@ def decompose(m: np.ndarray) -> PauliCoeffs:
 
     Raises
     ------
+    ValueError
+        If the last two axes of ``m`` are not (2, 2).
     NonHermitianInput
         If any entry of ``m - m^dagger`` exceeds 1e-10 in magnitude.
     """
     m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix or (..., 2, 2) stack, got shape {m.shape}")
     defect = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0)
     if not defect <= HERMITICITY_TOL:
         raise NonHermitianInput(

@@ -16,20 +16,21 @@ Every propagator comes from ``_product``, which reduces inside intervals and
 scans across them.  Each interval's steps fill rows of width w: the lower
 median m of the non-empty step counts, split into ceil(m / _BLOCK) equal
 rows, so w is at most _BLOCK.  A chunk of _BLOCK // w rows is a dense
-(rows, w) lattice of steps.  Its midpoint times are
-broadcast from the row starts and the column offsets, and it calls the
-generator and the exponential once, on its real steps only.  A chunk of full
-rows reshapes the exponentials straight into the lattice; only a chunk that
-holds an interval's short last row pads it with identities, at most tripling
-the work, as half the intervals fill a row.  A pairwise tree multiplies each
-row, and the row products of a block of up to _BLOCK rows, a whole number of
-chunks, are scanned once after the carry and re-projected once.
+(rows, w) lattice of steps, the same for every chunk: a column past its row's
+last step is a dt = 0 step, the identity, at the row's last midpoint, so the
+generator sees only times inside the grid.  Padding at most triples the
+work, as half the intervals fill a row.  The midpoint times are broadcast
+from the row starts and the column offsets, and each chunk calls the
+generator and the exponential once.  A pairwise tree multiplies each row into
+one buffer that starts with the identity; its blocks of up to _BLOCK rows, a
+whole number of chunks, are scanned once after their carry and re-projected
+once.  Interval i is read at stop[i], one past its last row.
 
 Each step factor is exp(-i c0 dt) times an SU(2) matrix [[a, b], [-b*, a*]],
 so the primitive works on (2, ...) stacks of the Cayley-Klein pairs (a, b),
-multiplied by pauli._mul, and sums the U(1) phase c0 dt per interval apart, in
-real arithmetic.  Only the interval ends are assembled into (n, 2, 2) matrices,
-each multiplied by its accumulated phase once.
+multiplied by pauli._mul, and sums the U(1) phase c0 dt per row apart, in
+real arithmetic.  Only the interval ends are assembled into (n, 2, 2)
+matrices, each multiplied by its accumulated phase once.
 """
 from __future__ import annotations
 
@@ -66,9 +67,6 @@ DEFAULT_STEPS_PER_PERIOD = 200
 # fault about 1,900; resonant_dense, 5 steps a row, runs 8% faster at 8192
 # (12.8 against 13.9 ms; 2-vCPU host, numpy 2.4).
 _BLOCK = 4096
-
-_ONE = np.array([[1.0], [0.0]], dtype=complex)  # the pair (1, 0) of the identity, as a (2, 1) stack
-
 
 @dataclass(frozen=True)
 class PropagationSpec:
@@ -111,6 +109,10 @@ def _step_count(span, dt):
 
 def max_step(p: DriveParams, steps_per_period: int) -> float:
     """Step size 2 pi/((epsilon + omega) * steps_per_period): steps_per_period per shortest period."""
+    if not isinstance(steps_per_period, numbers.Integral):
+        raise ValueError(f"steps_per_period must be an integer, got {steps_per_period!r}")
+    if steps_per_period < 1:
+        raise ValueError(f"steps_per_period must be >= 1, got {steps_per_period}")
     return 2.0 * math.pi / (p.epsilon + p.omega) / steps_per_period
 
 
@@ -119,9 +121,11 @@ def _product(h, edges, steps) -> np.ndarray:
 
     Interval i is spanned by steps[i] midpoint factors exp(-i h(t_k) dt_i),
     later steps to the left; an interval with no steps repeats the previous
-    result.  The steps form the (rows, w) lattice, chunks and scan blocks of
-    the module docstring; a static ``h`` is exponentiated exactly at
-    edges[1:] - edges[0].
+    result.  The steps form the (rows, w) lattice of the module docstring,
+    each column past a row's last step a dt = 0 factor at that row's last
+    midpoint.  Row products and row phases follow the identity in one buffer,
+    scanned in blocks, and interval i is read at stop[i], one past its last
+    row.  A static ``h`` is exponentiated exactly at edges[1:] - edges[0].
     """
     edges = np.asarray(edges, dtype=float)
     if not callable(h):
@@ -133,51 +137,40 @@ def _product(h, edges, steps) -> np.ndarray:
     w = -(-m // -(-m // _BLOCK))  # m split into ceil(m / _BLOCK) equal rows
     rows = -(-steps // w)
     stop = np.cumsum(rows)  # one past each interval's last row
+    total = int(rows.sum())
+    i = np.zeros(total + 1, dtype=int)
+    np.add.at(i, stop, 1)
+    i = np.cumsum(i[:-1])  # each row's interval: how many intervals stop at or before it
+    first = (np.arange(total) - stop[i] + rows[i]) * w  # index in its interval of each row's first step
+    n = np.minimum(steps[i] - first, w)  # real steps in each row
+    col = np.arange(w)
     chunk = _BLOCK // w  # rows per generator call
     block = _BLOCK - _BLOCK % chunk  # rows per scan: a whole number of chunks
-    phi = np.zeros(len(steps))  # sum of c0 dt over each interval
-    ends, u = [_ONE], _ONE
-    for start in range(0, int(rows.sum()), block):
-        r = np.arange(start, min(start + block, stop[-1]))
-        i = np.searchsorted(stop, r, side="right")
-        first = (r - stop[i] + rows[i]) * w  # index in its interval of each row's first step
-        n = np.minimum(steps[i] - first, w)  # real steps in each row
-        prod = np.empty((2, len(r) + 1), dtype=complex)  # the carry, then each row's product
-        prod[:, :1] = u
-        row_phi = np.zeros(len(r))  # sum of c0 dt over each row
-        for s in range(0, len(r), chunk):
-            ik, nk = i[s : s + chunk], n[s : s + chunk]
-            t = (first[s : s + chunk, None] + 0.5) + np.arange(w)  # midpoints, in steps from the start
-            t *= dts[ik, None]
-            t += edges[ik, None]
-            real = None if nk.min() == w else np.arange(w) < nk[:, None]  # no mask on full rows
-            dt = np.repeat(dts[ik], nk)
-            c = as_coeffs(h(t.ravel() if real is None else t[real]))
-            if np.any(c.c0):
-                row_phi[s : s + chunk] = np.add.reduceat(c.c0 * dt, np.cumsum(nk) - nk)
-            m = _expm_pair(c, dt)
-            if real is None:
-                m = m.reshape(2, len(ik), w)
-            else:
-                pad = np.zeros((2,) + real.shape, dtype=complex)
-                pad[0] = 1.0  # identity padding
-                for entry, value in zip(pad, m):
-                    entry[real] = value  # one entry at a time: numpy's mask path is slow under leading axes
-                m = pad
-            while m.shape[-1] > 1:  # pairwise tree along the rows, later steps to the left
-                pairs = _mul(m[..., 1::2], m[..., :-1:2])
-                if m.shape[-1] % 2:
-                    pairs[..., -1:] = _mul(m[..., -1:], pairs[..., -1:])
-                m = pairs
-            prod[:, s + 1 : s + 1 + len(ik)] = m[..., 0]
-        phi[i[0] : i[-1] + 1] += np.bincount(i - i[0], row_phi, i[-1] - i[0] + 1)
-        prod = _scan(prod)[..., np.append(np.flatnonzero(r == stop[i] - 1) + 1, -1)]
+    ab = np.empty((2, total + 1), dtype=complex)  # the identity, then each row's product
+    ab[:, 0] = 1.0, 0.0
+    phi = np.zeros(total + 1)  # 0, then the sum of c0 dt over each row
+    for s in range(0, total, chunk):
+        ik, nk = i[s : s + chunk, None], n[s : s + chunk, None]
+        t = (first[s : s + chunk, None] + 0.5) + np.minimum(col, nk - 1)  # midpoints in steps; pads repeat the last
+        t *= dts[ik]
+        t += edges[ik]
+        dt = np.where(col < nk, dts[ik], 0.0)  # a pad is the identity factor
+        c = as_coeffs(h(t))
+        if np.any(c.c0):
+            phi[s + 1 : s + 1 + chunk] = (c.c0 * dt).sum(-1)
+        m = _expm_pair(c, dt)
+        while m.shape[-1] > 1:  # pairwise tree along the rows, later steps to the left
+            pairs = _mul(m[..., 1::2], m[..., :-1:2])
+            if m.shape[-1] % 2:
+                pairs[..., -1:] = _mul(m[..., -1:], pairs[..., -1:])
+            m = pairs
+        ab[:, s + 1 : s + 1 + chunk] = m[..., 0]
+    for s in range(0, total, block):  # each block after its carry, ab[:, s]
+        ab[:, s : s + block + 1] = _scan(ab[:, s : s + block + 1])
         # First-order polar projection; the Gram matrix of a pair is (|a|^2 + |b|^2) 1.
-        prod *= 1.5 - 0.5 * (prod.real * prod.real + prod.imag * prod.imag).sum(axis=0)
-        ends.append(prod[..., :-1])
-        u = prod[..., -1:]
-    ab = np.concatenate(ends, axis=-1)[..., np.cumsum(steps > 0)]
-    return _pair_matrix(ab, np.exp(-1j * np.cumsum(phi)))
+        done = ab[:, s + 1 : s + block + 1]
+        done *= 1.5 - 0.5 * (done.real * done.real + done.imag * done.imag).sum(axis=0)
+    return _pair_matrix(ab[:, stop], np.exp(-1j * np.cumsum(phi)[stop]))
 
 
 def propagate(h, spec: PropagationSpec) -> Unitary2:
@@ -203,7 +196,10 @@ def trajectory(h, ts, dt: float) -> np.ndarray:
         raise ValueError("t_grid must be finite, non-negative and monotone non-decreasing")
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    steps = np.maximum(_step_count(gaps, dt), gaps > 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite step count is rejected below
+        steps = np.maximum(_step_count(gaps, dt), gaps > 0)
+    if not np.all(steps < 2.0**63):
+        raise ValueError(f"dt = {dt} needs 2**63 or more steps for a gap of {gaps.max()}")
     return _product(h, np.concatenate(([0.0], ts)), steps)
 
 

@@ -500,3 +500,23 @@ def test_resonant_simulation_models(tmp_path):
     late = rows[rows[:, 0] > 15.0]
     assert late[:, 1].min() > late[:, 2].min() + 0.01
     assert (late[:, 1] >= late[:, 2]).mean() > 0.9
+
+
+GOLDEN_DIR = Path(__file__).parents[1] / "perfbench" / "golden"
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_DIR.glob("*.csv")), ids=lambda p: p.stem)
+def test_simulate_matches_committed_golden(tmp_path, golden):
+    # Rerun each golden's echoed config (its `out` aside) and compare at the
+    # benchmark's 1e-10 per value.
+    g_comments, g_header, g_rows = read_csv(golden)
+    config = [c[2:] for c in g_comments if not c.startswith("# out = ")]
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text("\n".join(config) + "\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    comments, header, rows = read_csv(out)
+    assert [c for c in comments if not c.startswith("# out = ")] == ["# " + line for line in config]
+    assert header == g_header
+    assert rows.shape == g_rows.shape
+    assert np.abs(rows - g_rows).max() <= 1e-10

@@ -82,6 +82,13 @@ def test_bruteforce_grid_validation():
         min_fidelity_bruteforce(ID2, ID2, 8)
 
 
+@pytest.mark.parametrize("grid_n", [16.5, 100.0, "100"])
+def test_bruteforce_rejects_non_integer_grid(grid_n):
+    # 16.5 used to raise a TypeError from the odd-grid `grid_n | 1`.
+    with pytest.raises(ValueError, match="grid_n"):
+        min_fidelity_bruteforce(ID2, ID2, grid_n=grid_n)
+
+
 def test_bruteforce_agrees_with_closed_form(rng):
     worst = 0.0
     for _ in range(60):

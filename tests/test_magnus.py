@@ -204,6 +204,14 @@ def test_h_eff_window_rejects_non_hermitian_input(oracle):
         oracle(h, Window(t=0.0, tau=1.0))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_h_eff_window_rejects_non_2x2_generator(order):
+    # A 4x4 generator used to return PauliCoeffs(1, 0, 0, 0) from its top-left block.
+    h = lambda s: np.broadcast_to(np.eye(4), np.shape(s) + (4, 4))
+    with pytest.raises(ValueError, match="shape"):
+        h_eff_window(h, Window(t=0.0, tau=1.0), order=order)
+
+
 def test_h_eff_window_order_validation():
     with pytest.raises(ValueError):
         h_eff_window(h_fig, Window(t=0.0, tau=1.0), order=3)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ def test_decompose_rejects_non_hermitian():
 def test_decompose_rejects_nan():
     with pytest.raises(NonHermitianInput):
         decompose(np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 3, 3), (4, 4), (2,), (2, 3), (3, 2, 1)])
+def test_decompose_rejects_shapes_other_than_2x2(shape):
+    # np.eye(3) used to give the coefficients of its top-left 2x2 block.
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        decompose(np.ones(shape))
 
 
 def test_expm_diagonal_generator():

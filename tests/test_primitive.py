@@ -67,7 +67,7 @@ def midpoint_reference(h, t0, t1, steps):
     "steps",
     # _BLOCK steps fill one generator call exactly; one more starts a second.
     [1, 1000, 2500, 1024, 1025, 2049,
-     pytest.param(_BLOCK, id="block"), pytest.param(_BLOCK + 1, id="block+1"), 5000],
+     pytest.param(_BLOCK, id="block"), pytest.param(_BLOCK + 1, id="block+1"), 5000, 5001],
 )
 @pytest.mark.parametrize(
     "h",
@@ -86,6 +86,15 @@ def test_long_interval_splits_into_equal_rows():
     h = lambda t: sizes.append(np.size(t)) or h_lab(t, DISPERSIVE)
     propagate(h, PropagationSpec(0.0, 0.4, 5000))
     assert sizes == [2500, 2500]
+
+
+def test_padded_columns_stay_inside_the_interval():
+    # 5001 steps take two rows of 2501, the last padded by one column.  A pad
+    # is a dt = 0 step at its row's last midpoint, so a generator that is NaN
+    # past t1 never sees a time past t1.
+    h = lambda t: h_lab(t, DISPERSIVE) + PauliCoeffs(0.0, 0.0, 0.0, np.where(t > 7.9, np.nan, 0.0))
+    u = propagate(h, PropagationSpec(0.3, 7.9, 5001)).matrix
+    assert np.abs(u - midpoint_reference(h, 0.3, 7.9, 5001)).max() <= 1e-12
 
 
 def test_trajectory_carry_crosses_scan_blocks():
@@ -173,8 +182,8 @@ def _check_ragged_grid(h, small):
     gaps[[0, 40, 41, 150]] = 0.0
     gaps[97] = 2999.5 * dt
     ts = np.cumsum(gaps)
-    sizes = []
-    got = trajectory(lambda t: sizes.append(np.size(t)) or h(t), ts, dt)
+    seen = []
+    got = trajectory(lambda t: seen.append(t.copy()) or h(t), ts, dt)
     u, t_prev, total = ID2, 0.0, 0
     for t, g in zip(ts, got):
         if t > t_prev:
@@ -182,8 +191,13 @@ def _check_ragged_grid(h, small):
             u = midpoint_reference(h, t_prev, t, steps) @ u
             t_prev, total = t, total + steps
         assert np.abs(g - u).max() <= 1e-12
+    sizes = [t.size for t in seen]
     assert max(sizes) <= _BLOCK
-    assert sum(sizes) == total == 3000 + 198 * small
+    assert total == 3000 + 198 * small
+    # Rows of `small` steps, each interval's last padded with dt = 0 steps at
+    # its last midpoint: the generator sees no time outside the grid.
+    assert sum(sizes) == small * (198 + math.ceil(3000 / small))
+    assert all(0.0 <= t.min() and t.max() <= ts[-1] for t in seen)
 
 
 @pytest.mark.parametrize("small", [1, 7])
@@ -262,6 +276,21 @@ def test_trajectory_rejects_bad_step_or_grid(ts, dt):
     # A negative step used to give one step per interval, silently.
     with pytest.raises(ValueError):
         trajectory(lambda t: h_interaction(t, DISPERSIVE), ts, dt)
+
+
+@pytest.mark.parametrize("ts,dt", [([1.0], 1e-19), ([1e300], 1e-300)])
+def test_trajectory_rejects_step_counts_past_int64(ts, dt):
+    # Both used to return the identity with only a RuntimeWarning: 1e19 steps
+    # cast to a negative count, and 1e300 / 1e-300 overflows to inf.
+    with pytest.raises(ValueError, match="dt"):
+        trajectory(lambda t: h_interaction(t, DISPERSIVE), ts, dt)
+
+
+def test_trajectory_rejects_non_2x2_generator():
+    # diag(1, -1, 5) stacks used to propagate as exp(-i sigma3 dt).
+    h = lambda t: np.broadcast_to(np.diag([1.0, -1.0, 5.0]), np.shape(t) + (3, 3))
+    with pytest.raises(ValueError, match="shape"):
+        trajectory(h, [0.5, 1.0], 0.1)
 
 
 def test_trajectory_rejects_non_finite_grid():

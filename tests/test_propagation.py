@@ -27,7 +27,7 @@ from cgmagnus import (
     trajectory,
 )
 from cgmagnus.pauli import ID2, SIGMA1, unitarity_defect
-from cgmagnus.propagation import default_floquet_steps
+from cgmagnus.propagation import default_floquet_steps, max_step
 
 from conftest import random_unitary
 
@@ -256,6 +256,20 @@ def test_default_floquet_steps_per_shortest_period():
     assert default_floquet_steps(DriveParams(0.01, 1.0, 0.5)) == 202
     assert default_floquet_steps(DISPERSIVE) == 1000
     assert default_floquet_steps(DISPERSIVE, steps_per_period=7) == 35
+
+
+@pytest.mark.parametrize("steps_per_period", [0, -3, 2.5, 200.0])
+def test_max_step_rejects_bad_steps_per_period(steps_per_period):
+    # 0 used to raise ZeroDivisionError, and -3 returned a negative step.
+    with pytest.raises(ValueError, match="steps_per_period"):
+        max_step(DISPERSIVE, steps_per_period)
+
+
+@pytest.mark.parametrize("steps_per_period", [0, -3, 2.5])
+def test_default_floquet_steps_rejects_bad_steps_per_period(steps_per_period):
+    # -3 used to give -15 steps.
+    with pytest.raises(ValueError, match="steps_per_period"):
+        default_floquet_steps(DISPERSIVE, steps_per_period)
 
 
 def test_default_floquet_steps_ignore_roundoff_in_the_period_ratio():
