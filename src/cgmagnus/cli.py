@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AmplitudePole, ConfigError, MagnusError
 from .fidelity import min_fidelity
-from .magnus import _MIN_DETUNING_TAU, h_eff_order2_analytic
+from .magnus import h_eff_order2_analytic
 from .model import DriveParams, h_interaction, h_rw_interaction
 from .pauli import PauliCoeffs
 from .propagation import (
@@ -45,8 +45,16 @@ from .shifts import (
 
 __all__ = ["ScenarioConfig", "load_config", "main"]
 
-KNOWN_MODELS = ("exact", "magnus2", "rwa", "rwa_bs", "resonant_magnus")
-RESONANT_ONLY_MODELS = ("resonant_magnus",)
+# Every effective model: name -> (builder (p, tau) -> generator, needs tau_periods).
+# A generator is a callable of t or a static PauliCoeffs, which is propagated by
+# exact exponentials.  Where a model does not apply, its library function raises.
+_MODELS = {
+    "magnus2": (lambda p, tau: lambda t: h_eff_order2_analytic(t, p, tau), True),
+    "rwa": (lambda p, tau: lambda t: h_rw_interaction(t, p), False),
+    "rwa_bs": (lambda p, tau: lambda t: h_rw_interaction(t, p)
+               + PauliCoeffs(0.0, 0.0, 0.0, -0.5 * bloch_siegert_shift(p)), False),
+    "resonant_magnus": (lambda p, tau: h_eff_resonant_interaction(p), False),
+}
 
 _TWO_PI = 2.0 * math.pi
 
@@ -68,10 +76,6 @@ class ScenarioConfig:
     kappa: float = 5.0
     out: str | None = None
     seed: int | None = None
-
-    @property
-    def delta(self) -> float:
-        return self.epsilon - 1.0
 
     def drive(self) -> DriveParams:
         return DriveParams(epsilon=self.epsilon, omega=1.0, amplitude=self.amplitude)
@@ -112,11 +116,11 @@ def _parse_kv_file(path: str) -> dict:
 
 
 def _parse_models(text: str) -> tuple:
-    names = [name.strip().lower() for name in text.split(",")]
+    names = dict.fromkeys(name.strip().lower() for name in text.split(","))
     for name in names:
-        if name and name not in KNOWN_MODELS:
+        if name not in (*_MODELS, "exact", ""):  # exact is the reference, always run
             raise ConfigError(f"models: unknown model {name!r}")
-    return tuple(dict.fromkeys(name for name in names if name and name != "exact"))
+    return tuple(name for name in names if name in _MODELS)
 
 
 # Every config key with its parser; the defaults are the ScenarioConfig fields.
@@ -184,28 +188,15 @@ def _validate(cfg: ScenarioConfig) -> None:
     if not steps <= _MAX_STEPS:  # simulate's steps, or one Floquet period of shifts
         raise ConfigError(f"steps_per_period: max(t_max_periods, 1)*(epsilon+1)*steps_per_period = {steps:.4g} exceeds {_MAX_STEPS}")
     for name in cfg.models:
-        if name in RESONANT_ONLY_MODELS and not cfg.drive().is_resonant:
-            raise ConfigError(f"models: {name} requires delta = 0, got delta = {cfg.delta}")
-    if "magnus2" in cfg.models:
-        if cfg.tau_periods is None:
-            raise ConfigError("tau_periods: required by the magnus2 model")
-        if abs(cfg.delta) * cfg.tau < _MIN_DETUNING_TAU:
-            raise ConfigError(
-                "models: magnus2 needs |delta|*tau >= 1e-6; use resonant_magnus at resonance"
-            )
-
-
-def _model_hamiltonian(name: str, p: DriveParams, tau: float | None):
-    if name == "magnus2":
-        return lambda t: h_eff_order2_analytic(t, p, tau)
-    if name == "rwa":
-        return lambda t: h_rw_interaction(t, p)
-    if name == "rwa_bs":
-        shift = PauliCoeffs(0.0, 0.0, 0.0, -0.5 * bloch_siegert_shift(p))
-        return lambda t: h_rw_interaction(t, p) + shift
-    if name == "resonant_magnus":
-        return h_eff_resonant_interaction(p)  # static; propagated by exact exponentials
-    raise ConfigError(f"models: unknown model {name!r}")
+        build, needs_tau = _MODELS[name]
+        if needs_tau and cfg.tau is None:
+            raise ConfigError(f"tau_periods: required by the {name} model")
+        try:
+            h = build(cfg.drive(), cfg.tau)
+            if callable(h):  # e.g. h_eff2_analytic checks |delta|*tau only when called
+                h(0.0)
+        except MagnusError as exc:
+            raise ConfigError(f"models: {name}: {type(exc).__name__}: {exc}") from exc
 
 
 def _run_simulation(cfg: ScenarioConfig):
@@ -215,7 +206,7 @@ def _run_simulation(cfg: ScenarioConfig):
     grid = periods * _TWO_PI
     dt = max_step(p, cfg.steps_per_period)
     u_exact = trajectory(lambda t: h_interaction(t, p), grid, dt)
-    u_models = [trajectory(_model_hamiltonian(name, p, cfg.tau), grid, dt) for name in cfg.models]
+    u_models = [trajectory(_MODELS[name][0](p, cfg.tau), grid, dt) for name in cfg.models]
     header = ["t_over_period"] + [f"{name}_fidelity" for name in cfg.models]
     return header, np.column_stack([periods, *min_fidelity(u_exact, np.stack(u_models))])
 
@@ -433,7 +424,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except MagnusError as exc:  # e.g. AmplitudePole or NotUnitary from the library
+    except MagnusError as exc:  # a library failure past load, e.g. NotUnitary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgmagnus.cli import _MAX_AMPLITUDE, _MAX_STEPS, _write_csv, load_config, main
+from cgmagnus import DriveParams, NotUnitary, cli, h_rwa_plus_bs
+from cgmagnus.cli import _MAX_AMPLITUDE, _MAX_STEPS, _MODELS, _write_csv, load_config, main
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -123,6 +124,7 @@ def test_effective_config_roundtrip(tmp_path):
         ({"amplitude": "1e200", "models": "rwa"}, "amplitude"),  # was NotUnitary after overflow
         ({"t_max_periods": "1e9"}, "t_max_periods"),
         ({"epsilon": "1e300"}, "epsilon"),
+        ({"epsilon": "1.00000000001"}, "magnus2"),  # |delta|*tau ~ 3e-10 with delta != 0
     ],
 )
 def test_config_validation_exit_2(tmp_path, capsys, overrides, field):
@@ -144,6 +146,59 @@ def test_library_error_exits_2_with_one_line(tmp_path, capsys, overrides, name):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and name in err and "Traceback" not in err
+
+
+def test_library_failure_past_load_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # Models the library refuses stop at load; a failure while running still exits 2.
+    def fail(*args):
+        raise NotUnitary("defect 1e-3")
+
+    monkeypatch.setattr(cli, "trajectory", fail)
+    cfg = write_cfg(tmp_path)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: NotUnitary: defect 1e-3\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "regime", "shifts", "compare-external"])
+def test_model_the_library_refuses_exits_2_at_load(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, epsilon="1.0", amplitude="2.0", models="rwa, resonant_magnus")
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", str(cfg), "--out", str(out), "--external", str(tmp_path / "none.csv")]
+    assert main(argv if command == "compare-external" else argv[:-2]) == 2
+    assert capsys.readouterr().err == (
+        "config error: models: resonant_magnus: AmplitudePole: amplitude 2.0 >= 2 * omega = 2.0\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", list(_MODELS))
+def test_every_model_row_runs_or_is_refused_by_the_library(tmp_path, capsys, name):
+    # Each row runs on at least one of the two drives; on the other the
+    # library may refuse it, which the CLI reports as one config line.
+    runs = 0
+    for drive, epsilon in (("dispersive", "4.0"), ("resonant", "1.0")):
+        cfg = write_cfg(tmp_path, f"{drive}.cfg", epsilon=epsilon, models=name)
+        out = tmp_path / f"{drive}.csv"
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        if rc == 2:
+            assert err.count("\n") == 1 and err.startswith(f"config error: models: {name}: ")
+            continue
+        assert rc == 0
+        runs += 1
+        _, header, rows = read_csv(out)
+        assert header == ["t_over_period", f"{name}_fidelity"]
+        assert rows[0, 1] == 1.0 and ((0.0 <= rows[:, 1]) & (rows[:, 1] <= 1.0)).all()
+    assert runs >= 1
+
+
+def test_rwa_bs_row_at_resonance_is_the_library_static_form():
+    p = DriveParams(epsilon=1.0, omega=1.0, amplitude=0.5)
+    ts = np.linspace(0.0, 40.0, 17)
+    got = _MODELS["rwa_bs"][0](p, None)(ts)
+    want = h_rwa_plus_bs(p)
+    for c in ("c0", "c1", "c2", "c3"):
+        assert np.abs(np.broadcast_to(getattr(got, c), ts.shape) - getattr(want, c)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("command", ["simulate", "regime", "shifts"])
@@ -198,6 +253,8 @@ def test_readme_config_block_parses(tmp_path):
     path.write_text(block, encoding="utf-8")
     cfg = load_config(str(path))
     assert (cfg.epsilon, cfg.amplitude, cfg.tau_periods) == (4.0, 0.5, 5.0)
+    any_of = next(ln for ln in block.splitlines() if ln.startswith("# any of:"))
+    assert sorted(name.strip() for name in any_of[len("# any of:"):].split(",")) == sorted(_MODELS)
     assert cfg.models == ("magnus2", "rwa")
     assert (cfg.t_max_periods, cfg.samples, cfg.out) == (50.0, 500, "fidelities.csv")
 

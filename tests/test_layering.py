@@ -39,3 +39,16 @@ def test_intra_package_imports_form_no_cycle():
         if module not in state:
             visit(module, [])
 
+
+
+def test_cli_imports_no_private_library_name():
+    # The CLI states no library rule of its own: what it uses is public.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

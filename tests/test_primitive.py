@@ -22,7 +22,7 @@ from cgmagnus import (
     h_rw_interaction,
     min_fidelity,
 )
-from cgmagnus.cli import ScenarioConfig, _model_hamiltonian, load_config, main
+from cgmagnus.cli import _MODELS, ScenarioConfig, load_config, main
 from cgmagnus.pauli import ID2, _expm_matrix, _expm_pair, _mul, _pair_matrix, as_coeffs, unitarity_defect
 from cgmagnus.propagation import (
     _BLOCK,
@@ -142,7 +142,7 @@ def test_dispersive_benchmark_trajectories_stay_unitary():
     grid = cfg.grid_periods() * 2.0 * math.pi
     dt = max_step(DISPERSIVE, cfg.steps_per_period)
     hs = [lambda t: h_interaction(t, DISPERSIVE)]
-    hs += [_model_hamiltonian(name, DISPERSIVE, cfg.tau) for name in cfg.models]
+    hs += [_MODELS[name][0](DISPERSIVE, cfg.tau) for name in cfg.models]
     for h in hs:
         assert unitarity_defect(trajectory(h, grid, dt)).max() <= 1e-14
 
