@@ -65,6 +65,7 @@ from .shifts import (
     h_eff_resonant_bar,
     h_eff_resonant_interaction,
     h_rwa_plus_bs,
+    regime_window,
     resonant_splitting,
     stark_shift,
     validate_regime,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AmplitudePole, ConfigError, MagnusError
+from .errors import AmplitudePole, ConfigError, MagnusError, NotResonant
 from .fidelity import min_fidelity
 from .magnus import h_eff_order2_analytic
 from .model import DriveParams, h_interaction, h_rw_interaction
@@ -38,6 +38,7 @@ from .shifts import (
     bloch_siegert_prime_shift,
     bloch_siegert_shift,
     h_eff_resonant_interaction,
+    regime_window,
     resonant_splitting,
     stark_shift,
     validate_regime,
@@ -220,10 +221,6 @@ def _write_csv(path: str, cfg: ScenarioConfig, header, rows) -> None:
         f.write((",".join(["%.12e"] * ncols) + "\n") * nrows % tuple(rows.ravel().tolist()))
 
 
-def _regime_case(cfg: ScenarioConfig) -> str:
-    return "resonant" if cfg.drive().is_resonant else "dispersive"
-
-
 def cmd_simulate(cfg: ScenarioConfig, strict_regime: bool = False) -> int:
     """Write the fidelity-vs-time CSV; exit 3 on a strict regime failure."""
     if cfg.out is None:
@@ -231,7 +228,7 @@ def cmd_simulate(cfg: ScenarioConfig, strict_regime: bool = False) -> int:
     if strict_regime:
         if cfg.tau_periods is None:
             raise ConfigError("tau_periods: required with --strict-regime")
-        report = validate_regime(cfg.drive(), cfg.tau, _regime_case(cfg), cfg.kappa)
+        report = validate_regime(cfg.drive(), cfg.tau, cfg.kappa)
         if not report.overall:
             print(report.table(), file=sys.stderr)
             print("regime check failed (strict mode)", file=sys.stderr)
@@ -242,56 +239,38 @@ def cmd_simulate(cfg: ScenarioConfig, strict_regime: bool = False) -> int:
     return 0
 
 
-def _regime_bounds(cfg: ScenarioConfig):
-    """(lower bounds, upper bounds) on tau where the regime ratios reach 1.
-
-    Relies on every ratio of validate_regime being proportional to tau, to
-    1/tau or to tau**0: its values at tau = 1 and 2 tell which.  A growing
-    ratio reaches 1 at tau = 1/value(1), a shrinking one at tau = value(1).
-    A constant, non-positive, infinite or nan value bounds nothing.
-    """
-    one, two = (validate_regime(cfg.drive(), tau, _regime_case(cfg), cfg.kappa).checks
-                for tau in (1.0, 2.0))
-    values = [(a.value, b.value) for a, b in zip(one, two) if 0 < a.value < math.inf]
-    return [1.0 / v1 for v1, v2 in values if v2 > v1], [v1 for v1, v2 in values if v2 < v1]
-
-
 def cmd_regime(cfg: ScenarioConfig) -> int:
     """Print validity ratios for the configured tau, or sweep tau if omitted."""
     p = cfg.drive()
-    case = _regime_case(cfg)
     if cfg.tau_periods is not None:
-        report = validate_regime(p, cfg.tau, case, cfg.kappa)
+        report = validate_regime(p, cfg.tau, cfg.kappa)
         print(report.table())
         print("json: " + json.dumps(report.record(), sort_keys=True))
         return 0
 
     # No tau given: sweep the candidate window and print the feasible band.
-    lowers, uppers = _regime_bounds(cfg)
-    if not lowers or not uppers:
+    case = validate_regime(p, 1.0, cfg.kappa).case
+    window = regime_window(p, cfg.kappa)
+    if window is None:
         print(f"no finite tau window for the {case} case at these parameters")
         return 0
-    lo = max(lowers)
-    hi = min(uppers)
+    lo, hi, band = window
     print(f"tau sweep ({case} case, kappa = {cfg.kappa:g}):")
     records = []
     for tau in np.geomspace(lo, hi, 9):
-        report = validate_regime(p, float(tau), case, cfg.kappa)
+        report = validate_regime(p, float(tau), cfg.kappa)
         status = "pass" if report.overall else "warn"
         print(f"  tau = {tau:12.6g}  ({tau / _TWO_PI:10.4g} periods)  {status}")
         records.append({"tau": float(tau), "overall": report.overall})
-    band_lo = cfg.kappa * lo
-    band_hi = hi / cfg.kappa
-    if band_lo <= band_hi:
+    if band is None:
+        print(f"no feasible tau band at kappa = {cfg.kappa:g}")
+    else:
         print(
             f"feasible band at kappa = {cfg.kappa:g}: "
-            f"tau in [{band_lo:.6g}, {band_hi:.6g}] "
-            f"([{band_lo / _TWO_PI:.4g}, {band_hi / _TWO_PI:.4g}] periods)"
+            f"tau in [{band[0]:.6g}, {band[1]:.6g}] "
+            f"([{band[0] / _TWO_PI:.4g}, {band[1] / _TWO_PI:.4g}] periods)"
         )
-        feasible = [band_lo, band_hi]
-    else:
-        print(f"no feasible tau band at kappa = {cfg.kappa:g}")
-        feasible = None
+    feasible = None if band is None else list(band)
     print("json: " + json.dumps({"case": case, "kappa": cfg.kappa, "sweep": records, "feasible_band": feasible}, sort_keys=True))
     return 0
 
@@ -304,23 +283,24 @@ def cmd_shifts(cfg: ScenarioConfig) -> int:
     note = " (resonant: 1/delta pole)" if p.is_resonant else ""
     rows.append(("S_rw (Stark)", s_rw, note))
     rows.append(("S_bs (diagonal Bloch-Siegert)", bloch_siegert_shift(p), ""))
+    pred = None  # the resonant prediction, where the library gives one
     try:
-        s_prime = bloch_siegert_prime_shift(p)
-        rows.append(("S_bs' (off-diagonal Bloch-Siegert)", s_prime, ""))
+        rows.append(("S_bs' (off-diagonal Bloch-Siegert)", bloch_siegert_prime_shift(p), ""))
         pred = resonant_splitting(p)
         rows.append(("resonant splitting sqrt(S_bs^2+(W-S_bs')^2)", pred, ""))
     except AmplitudePole:
-        pred = None
         rows.append(("S_bs' (off-diagonal Bloch-Siegert)", math.nan, " (amplitude at/beyond the 2*omega pole)"))
+    except NotResonant:
+        pass
     fl = floquet_splitting(p, steps=default_floquet_steps(p, cfg.steps_per_period))
     rows.append(("floquet splitting (monodromy)", fl, ""))
     if pred is not None:
         rows.append(("|floquet - resonant prediction|", abs(fl - pred), ""))
 
     print(f"shifts for epsilon/omega = {p.epsilon:g}, W/omega = {p.amplitude:g} (omega = 1)")
-    print(f"  {'quantity':<44} {'value*1/omega':>16}  {'absolute':>16}")
+    print(f"  {'quantity':<44} {'value':>16}")
     for name, value, annotation in rows:
-        print(f"  {name:<44} {value:>16.10g}  {value:>16.10g}{annotation}")
+        print(f"  {name:<44} {value:>16.10g}{annotation}")
     return 0
 
 

@@ -37,10 +37,9 @@ __all__ = [
     "h_eff_resonant_bar",
     "h_eff_resonant_interaction",
     "validate_regime",
+    "regime_window",
     "resonant_splitting",
 ]
-
-REGIME_CASES = ("dispersive", "resonant")
 
 
 @dataclass(frozen=True)
@@ -169,6 +168,7 @@ def h_eff_resonant_interaction(p: DriveParams) -> PauliCoeffs:
 
 def resonant_splitting(p: DriveParams) -> float:
     """Eigenvalue splitting sqrt(S_bs^2 + (W - S_bs')^2) of the resonant form."""
+    _require_resonant(p, "resonant_splitting")
     return math.hypot(
         bloch_siegert_shift(p), p.amplitude - bloch_siegert_prime_shift(p)
     )
@@ -176,10 +176,11 @@ def resonant_splitting(p: DriveParams) -> float:
 
 @dataclass(frozen=True)
 class RatioCheck:
-    """One dimensionless validity ratio with its pass/warn status."""
+    """One dimensionless validity ratio, its scaling tau**tau_power and its pass/warn status."""
 
     name: str
     formula: str
+    tau_power: int
     value: float
     passes: bool
 
@@ -217,58 +218,73 @@ class RegimeReport:
         }
 
 
-def validate_regime(
-    p: DriveParams, tau: float, case: str, kappa: float = 5.0
-) -> RegimeReport:
+def validate_regime(p: DriveParams, tau: float, kappa: float = 5.0) -> RegimeReport:
     """Turn each coarse-graining inequality into a ratio >= kappa check.
 
     Every "much greater/less than" condition becomes ratio >= kappa with a
     configurable threshold (default 5).  Reports only: a failed check is a
     warning, not an error, since probing the limits of the approximation is a
-    legitimate use.  Only a tau that is not finite and > 0, or an unknown
-    case, raises ValueError.
+    legitimate use.  Only a tau that is not finite and > 0 raises ValueError.
 
-    Dispersive case: tau*omega/pi, tau*(omega+epsilon)/(2 pi),
-    |delta|*tau/(2 pi) as lower bounds and 2 pi/(S_rw*tau) as the upper one.
-    Resonant case: 2 pi/(W*tau), tau*(2 omega - W)/(2 pi), 2 pi/(S_bs'*tau)
-    and the amplitude consistency ratio (W/omega)*32^(1/3).
+    The case follows from the drive: resonant if ``p.is_resonant``, else
+    dispersive.  Each check states its ``tau_power``: a lower bound on tau
+    grows as tau (1), an upper bound shrinks as 1/tau (-1).  Dispersive case:
+    tau*omega/pi, tau*(omega+epsilon)/(2 pi), |delta|*tau/(2 pi) as lower
+    bounds and 2 pi/(S_rw*tau) as the upper one.  Resonant case:
+    2 pi/(W*tau) and 2 pi/(S_bs'*tau) as upper bounds, tau*(2 omega - W)/(2 pi)
+    as the lower one and the tau-independent (0) amplitude consistency ratio
+    (W/omega)*32^(1/3).
     """
     _check_tau(tau)
-    if case not in REGIME_CASES:
-        raise ValueError(f"case must be one of {REGIME_CASES}, got {case!r}")
     two_pi = 2.0 * math.pi
     w = p.amplitude
     checks = []
 
-    def add(name: str, formula: str, value: float) -> None:
-        checks.append(RatioCheck(name, formula, value, value >= kappa))
+    def add(name: str, formula: str, tau_power: int, value: float) -> None:
+        checks.append(RatioCheck(name, formula, tau_power, value, value >= kappa))
 
     def window(rate_tau: float) -> float:  # 2 pi / (rate * tau); inf for a zero rate
         return two_pi / rate_tau if rate_tau else math.inf
 
-    if case == "dispersive":
-        add("fast_drive", "tau*omega/pi", tau * p.omega / math.pi)
-        add(
-            "fast_counterrotating",
-            "tau*(omega+epsilon)/(2*pi)",
-            tau * (p.omega + p.epsilon) / two_pi,
-        )
-        add("slow_detuning", "|delta|*tau/(2*pi)", abs(p.detuning) * tau / two_pi)
-        s_rw = math.inf if p.is_resonant else stark_shift(p)
-        add("stark_window", "2*pi/(S_rw*tau)", window(abs(s_rw) * tau))
+    if not p.is_resonant:
+        add("fast_drive", "tau*omega/pi", 1, tau * p.omega / math.pi)
+        add("fast_counterrotating", "tau*(omega+epsilon)/(2*pi)", 1,
+            tau * (p.omega + p.epsilon) / two_pi)
+        add("slow_detuning", "|delta|*tau/(2*pi)", 1, abs(p.detuning) * tau / two_pi)
+        add("stark_window", "2*pi/(S_rw*tau)", -1, window(abs(stark_shift(p)) * tau))
     else:
-        add("rabi_window", "2*pi/(W*tau)", window(w * tau))
-        add(
-            "fast_counterrotating",
-            "tau*(2*omega-W)/(2*pi)",
-            tau * (2.0 * p.omega - w) / two_pi,
-        )
-        # At/beyond the pole the ratio is nan, which never passes.
-        pole = w >= 2.0 * p.omega
-        add("prime_window", "2*pi/(S_bs'*tau)",
-            math.nan if pole else window(bloch_siegert_prime_shift(p) * tau))
+        add("rabi_window", "2*pi/(W*tau)", -1, window(w * tau))
+        add("fast_counterrotating", "tau*(2*omega-W)/(2*pi)", 1,
+            tau * (2.0 * p.omega - w) / two_pi)
+        try:
+            prime = window(bloch_siegert_prime_shift(p) * tau)
+        except AmplitudePole:
+            prime = math.nan  # at/beyond the pole: never passes
+        add("prime_window", "2*pi/(S_bs'*tau)", -1, prime)
         # The self-consistency bound on the amplitude; the cube root pairs the
         # off-diagonal-shift window with the counterrotating one.
-        add("consistency", "(W/omega)*32^(1/3)", (w / p.omega) * 32.0 ** (1.0 / 3.0))
+        add("consistency", "(W/omega)*32^(1/3)", 0, (w / p.omega) * 32.0 ** (1.0 / 3.0))
 
+    case = "resonant" if p.is_resonant else "dispersive"
     return RegimeReport(case=case, kappa=kappa, checks=tuple(checks))
+
+
+def regime_window(p: DriveParams, kappa: float = 5.0):
+    """``(lo, hi, band)`` in tau from the regime ratios at tau = 1, or None.
+
+    ``lo``/``hi`` are where the last growing ratio reaches 1 and the first
+    shrinking one falls to 1; a non-positive, infinite or nan ratio bounds
+    nothing, and None means a side has no bound.  ``band`` = (kappa*lo, hi/kappa),
+    where every ratio reaches kappa, is None if empty or if a tau-independent
+    ratio is below kappa.
+    """
+    checks = validate_regime(p, 1.0, kappa).checks
+    bounded = [c for c in checks if 0 < c.value < math.inf]
+    lowers = [1.0 / c.value for c in bounded if c.tau_power == 1]
+    uppers = [c.value for c in bounded if c.tau_power == -1]
+    if not lowers or not uppers:
+        return None
+    lo, hi = max(lowers), min(uppers)
+    band = (kappa * lo, hi / kappa)
+    feasible = band[0] <= band[1] and all(c.passes for c in checks if c.tau_power == 0)
+    return lo, hi, band if feasible else None

@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cgmagnus import DriveParams, NotUnitary, cli, h_rwa_plus_bs
+from cgmagnus import DriveParams, NotUnitary, cli, h_rwa_plus_bs, validate_regime
 from cgmagnus.cli import _MAX_AMPLITUDE, _MAX_STEPS, _MODELS, _write_csv, load_config, main
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
@@ -157,6 +160,23 @@ def test_library_failure_past_load_exits_2_with_one_line(tmp_path, capsys, monke
     cfg = write_cfg(tmp_path)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == "error: NotUnitary: defect 1e-3\n"
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # `python -m cgmagnus` hands main's return value to the shell.
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(cfg):
+        return subprocess.run([sys.executable, "-m", "cgmagnus", "regime", "--config", str(cfg)],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    ok = run(write_cfg(tmp_path))
+    assert ok.returncode == 0 and ok.stderr == ""
+    assert any(ln.startswith("json: ") for ln in ok.stdout.splitlines())
+    bad = run(write_cfg(tmp_path, "bad.cfg", colour="blue"))
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr == "config error: colour: unknown config key\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "regime", "shifts", "compare-external"])
@@ -358,28 +378,46 @@ def test_regime_resonant_consistency_warn(tmp_path, capsys):
 TWO_PI = 2.0 * math.pi
 
 
-@pytest.mark.parametrize(
-    "epsilon,amplitude,lo,hi",
-    [
-        # dispersive: max(pi, 2 pi/(1 + eps), 2 pi/|delta|) and 2 pi/|S_rw|
-        (4.0, 0.5, math.pi, TWO_PI / (0.25 / 6.0)),
-        (0.3, 0.1, TWO_PI / 0.7, TWO_PI / (0.01 / 1.4)),
-        # resonant: 2 pi/(2 - W) and min(2 pi/W, 2 pi/S_bs')
-        (1.0, 0.02, TWO_PI / 1.98, TWO_PI / 0.02),
-        (1.0, 1.9, TWO_PI / 0.1, TWO_PI * 16.0 * (1.0 - 1.9**2 / 4.0) / 1.9**3),
-    ],
-)
-def test_regime_sweep_band_matches_closed_form(tmp_path, capsys, epsilon, amplitude, lo, hi):
+# (epsilon, amplitude, sweep ends lo and hi, feasible band at kappa = 5)
+SWEEP_DRIVES = [
+    # dispersive: max(pi, 2 pi/(1 + eps), 2 pi/|delta|) and 2 pi/|S_rw|
+    (4.0, 0.5, math.pi, TWO_PI / (0.25 / 6.0), True),
+    (0.3, 0.1, TWO_PI / 0.7, TWO_PI / (0.01 / 1.4), True),
+    # resonant: 2 pi/(2 - W) and min(2 pi/W, 2 pi/S_bs'); the consistency
+    # ratio (W/omega)*32^(1/3) stays below kappa, so no band
+    (1.0, 0.02, TWO_PI / 1.98, TWO_PI / 0.02, False),
+    (1.0, 1.9, TWO_PI / 0.1, TWO_PI * 16.0 * (1.0 - 1.9**2 / 4.0) / 1.9**3, False),
+]
+
+
+def _regime_sweep(tmp_path, capsys, epsilon, amplitude):
     cfg = write_cfg(tmp_path, epsilon=str(epsilon), amplitude=str(amplitude),
                     tau_periods=None, models="rwa")
     assert main(["regime", "--config", str(cfg)]) == 0
-    payload = json.loads(capsys.readouterr().out.split("json: ", 1)[1])
+    return json.loads(capsys.readouterr().out.split("json: ", 1)[1])
+
+
+@pytest.mark.parametrize("epsilon,amplitude,lo,hi,feasible", SWEEP_DRIVES)
+def test_regime_sweep_band_matches_closed_form(tmp_path, capsys, epsilon, amplitude, lo, hi, feasible):
+    payload = _regime_sweep(tmp_path, capsys, epsilon, amplitude)
     sweep = [r["tau"] for r in payload["sweep"]]
     assert (sweep[0], sweep[-1]) == (pytest.approx(lo, rel=1e-14), pytest.approx(hi, rel=1e-14))
-    if 5.0 * lo <= hi / 5.0:
+    if feasible:
         assert payload["feasible_band"] == pytest.approx([5.0 * lo, hi / 5.0], rel=1e-14)
     else:
         assert payload["feasible_band"] is None
+
+
+@pytest.mark.parametrize("epsilon,amplitude", [d[:2] for d in SWEEP_DRIVES] + [(1.0, 0.05)])
+def test_regime_band_agrees_with_the_library(tmp_path, capsys, epsilon, amplitude):
+    # A reported band passes validate_regime inside it; without one, no sweep point passes.
+    payload = _regime_sweep(tmp_path, capsys, epsilon, amplitude)
+    band = payload["feasible_band"]
+    if band is not None:
+        p = DriveParams(epsilon, 1.0, amplitude)
+        assert validate_regime(p, math.sqrt(band[0] * band[1]), payload["kappa"]).overall
+    else:
+        assert not any(r["overall"] for r in payload["sweep"])
 
 
 @pytest.mark.parametrize("epsilon,amplitude", [(4.0, 0.0), (1.0, 0.0), (1.0, 2.5)])
@@ -394,8 +432,9 @@ def test_shifts_table_dispersive(tmp_path, capsys):
     cfg = write_cfg(tmp_path, steps_per_period="400")
     assert main(["shifts", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
-    assert f"{1.0 / 24.0:.10g}" in out
+    assert out.count(f"{1.0 / 24.0:.10g}") == 1  # one value column
     assert f"{0.025:.10g}" in out
+    assert "resonant" not in out  # the resonant prediction holds at delta = 0 only
 
 
 def test_shifts_resonant_prediction_close_to_floquet(tmp_path, capsys):
@@ -406,7 +445,7 @@ def test_shifts_resonant_prediction_close_to_floquet(tmp_path, capsys):
     assert main(["shifts", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     gap_line = [ln for ln in out.splitlines() if "floquet - resonant" in ln][0]
-    assert float(gap_line.split()[-2]) < 5e-4
+    assert float(gap_line.split()[-1]) < 5e-4
 
 
 def test_shifts_amplitude_pole_annotated(tmp_path, capsys):

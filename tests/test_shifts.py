@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cgmagnus import (
     AmplitudePole,
@@ -23,6 +24,7 @@ from cgmagnus import (
     h_rw_interaction,
     min_fidelity,
     propagate,
+    resonant_splitting,
     stark_shift,
     validate_regime,
 )
@@ -136,6 +138,8 @@ def test_resonant_forms_reject_detuned_drive():
         h_eff_resonant_bar(0.0, DISPERSIVE)
     with pytest.raises(NotResonant):
         h_eff_resonant_interaction(DISPERSIVE)
+    with pytest.raises(NotResonant):
+        resonant_splitting(DISPERSIVE)
 
 
 def test_resonant_bar_matches_quadrature_deep_in_window():
@@ -192,7 +196,7 @@ def test_resonant_interaction_equals_bar_route_propagator():
 
 def test_regime_dispersive_example_values():
     tau = 10 * math.pi
-    report = validate_regime(DISPERSIVE, tau, "dispersive", kappa=5.0)
+    report = validate_regime(DISPERSIVE, tau, kappa=5.0)
     values = {c.name: c for c in report.checks}
     assert values["fast_drive"].value == pytest.approx(10.0)
     assert values["fast_drive"].passes
@@ -205,7 +209,7 @@ def test_regime_dispersive_example_values():
 
 
 def test_regime_tiny_window_fails_lower_bounds():
-    report = validate_regime(DISPERSIVE, 1e-6, "dispersive")
+    report = validate_regime(DISPERSIVE, 1e-6)
     values = {c.name: c for c in report.checks}
     assert not values["fast_drive"].passes
     assert not values["slow_detuning"].passes
@@ -218,7 +222,7 @@ def test_regime_tiny_window_fails_lower_bounds():
 )
 def test_regime_resonant_consistency_ratio(amplitude, expected):
     p = DriveParams(epsilon=1.0, omega=1.0, amplitude=amplitude)
-    report = validate_regime(p, 4.0, "resonant")
+    report = validate_regime(p, 4.0)
     values = {c.name: c for c in report.checks}
     assert values["consistency"].value == pytest.approx(expected, rel=1e-12)
     assert not values["consistency"].passes  # both points sit below kappa = 5
@@ -226,22 +230,20 @@ def test_regime_resonant_consistency_ratio(amplitude, expected):
 
 def test_regime_never_raises_and_validates_inputs():
     p = DriveParams(epsilon=1.0, omega=1.0, amplitude=2.5)  # beyond the pole
-    report = validate_regime(p, 3.0, "resonant")
+    report = validate_regime(p, 3.0)
     assert report.checks  # reported, not raised
     # zero amplitude: the Stark, Rabi and prime windows are infinite, not a division by zero
-    for case in ("dispersive", "resonant"):
-        for check in validate_regime(DriveParams(4.0, 1.0, 0.0), 3.0, case).checks:
+    for epsilon in (4.0, 1.0):
+        for check in validate_regime(DriveParams(epsilon, 1.0, 0.0), 3.0).checks:
             if check.name.endswith("_window"):
                 assert check.value == math.inf and check.passes
     for tau in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="tau"):
-            validate_regime(DISPERSIVE, tau, "dispersive")
-    with pytest.raises(ValueError):
-        validate_regime(DISPERSIVE, 1.0, "nonsense")
+            validate_regime(DISPERSIVE, tau)
 
 
 def test_regime_report_record_mirrors_table():
-    report = validate_regime(DISPERSIVE, 10 * math.pi, "dispersive")
+    report = validate_regime(DISPERSIVE, 10 * math.pi)
     rec = report.record()
     assert rec["case"] == "dispersive"
     assert rec["overall"] == report.overall
@@ -249,3 +251,29 @@ def test_regime_report_record_mirrors_table():
     table = report.table()
     for check in report.checks:
         assert check.formula in table
+
+
+def test_regime_case_follows_from_the_drive():
+    # No ResonantStarkWarning (an error under the test settings): at resonance
+    # the Stark window is never asked for.
+    near = DriveParams(epsilon=1.0 + 1e-13, omega=1.0, amplitude=0.5)
+    assert validate_regime(DISPERSIVE, 3.0).case == "dispersive"
+    assert validate_regime(RESONANT, 3.0).case == "resonant"
+    assert near.is_resonant and validate_regime(near, 3.0).case == "resonant"
+
+
+@given(
+    resonant=st.booleans(),
+    omega=st.floats(0.1, 10.0),
+    epsilon_ratio=st.floats(0.01, 10.0),
+    amplitude_ratio=st.floats(0.0, 3.0),
+    tau=st.floats(1e-3, 1e3),
+)
+def test_regime_ratios_scale_by_their_tau_power(resonant, omega, epsilon_ratio, amplitude_ratio, tau):
+    epsilon = omega if resonant else omega * epsilon_ratio
+    p = DriveParams(epsilon=epsilon, omega=omega, amplitude=omega * amplitude_ratio)
+    one, two = validate_regime(p, tau).checks, validate_regime(p, 2.0 * tau).checks
+    for a, b in zip(one, two):
+        assert a.tau_power in (1, 0, -1)
+        if 0 < a.value < math.inf:
+            assert b.value == pytest.approx(2.0**a.tau_power * a.value, rel=1e-14), a.name
