@@ -5,7 +5,7 @@ Subcommands
 simulate          propagate exact and effective models, write a fidelity CSV
 regime            print the validity ratios for a coarse-graining window
 shifts            print the closed-form shifts next to the Floquet splitting
-compare-external  merge an externally computed fidelity column into a run
+compare-external  simulate, plus an externally computed fidelity column
 
 Configuration is a flat ``key = value`` text file; all frequencies are entered
 as ratios to the drive frequency omega (so runs are scale-free and internally
@@ -99,7 +99,7 @@ class ScenarioConfig:
 
 
 def _parse_kv_file(path: str) -> dict:
-    raw = {}
+    raw, first_line = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
@@ -109,10 +109,14 @@ def _parse_kv_file(path: str) -> dict:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
+        key, eq, value = stripped.partition("=")
+        key = key.strip().lower()
+        if not eq or not key:
             raise ConfigError(f"config line {lineno}: expected 'key = value'")
-        key, value = stripped.split("=", 1)
-        raw[key.strip().lower()] = value.strip()
+        if key in first_line:
+            raise ConfigError(f"config line {lineno}: {key} given twice (first on line {first_line[key]})")
+        first_line[key] = lineno
+        raw[key] = value.strip()
     return raw
 
 
@@ -221,11 +225,23 @@ def _write_csv(path: str, cfg: ScenarioConfig, header, rows) -> None:
         f.write((",".join(["%.12e"] * ncols) + "\n") * nrows % tuple(rows.ravel().tolist()))
 
 
-def cmd_simulate(cfg: ScenarioConfig, strict_regime: bool = False) -> int:
-    """Write the fidelity-vs-time CSV; exit 3 on a strict regime failure."""
+def cmd_simulate(cfg: ScenarioConfig, args) -> int:
+    """Write the fidelity-vs-time CSV; exit 3 on a strict regime failure.
+
+    Given ``--external``, that CSV is checked before the run and its fidelity,
+    interpolated onto the run's grid, is written as one more column.
+    """
     if cfg.out is None:
-        raise ConfigError("out: required for simulate")
-    if strict_regime:
+        raise ConfigError(f"out: required for {args.command}")
+    periods = cfg.grid_periods()
+    if args.external is not None:
+        ext_t, ext_f = _read_external_csv(args.external)
+        if ext_t[0] > periods[0] + 1e-9 or ext_t[-1] < periods[-1] - 1e-9:
+            raise ConfigError(
+                f"external: grid [{ext_t[0]:g}, {ext_t[-1]:g}] does not cover the "
+                f"run's range [{periods[0]:g}, {periods[-1]:g}]"
+            )
+    if args.strict_regime:
         if cfg.tau_periods is None:
             raise ConfigError("tau_periods: required with --strict-regime")
         report = validate_regime(cfg.drive(), cfg.tau, cfg.kappa)
@@ -234,12 +250,15 @@ def cmd_simulate(cfg: ScenarioConfig, strict_regime: bool = False) -> int:
             print("regime check failed (strict mode)", file=sys.stderr)
             return 3
     header, rows = _run_simulation(cfg)
+    if args.external is not None:
+        header = header + ["external_fidelity"]
+        rows = np.column_stack([rows, np.interp(periods, ext_t, ext_f)])
     _write_csv(cfg.out, cfg, header, rows)
-    print(f"wrote {len(rows)} samples x {len(header) - 1} models to {cfg.out}")
+    print(f"wrote {len(rows)} samples x {len(cfg.models)} models to {cfg.out}")
     return 0
 
 
-def cmd_regime(cfg: ScenarioConfig) -> int:
+def cmd_regime(cfg: ScenarioConfig, args) -> int:
     """Print validity ratios for the configured tau, or sweep tau if omitted."""
     p = cfg.drive()
     if cfg.tau_periods is not None:
@@ -275,7 +294,7 @@ def cmd_regime(cfg: ScenarioConfig) -> int:
     return 0
 
 
-def cmd_shifts(cfg: ScenarioConfig) -> int:
+def cmd_shifts(cfg: ScenarioConfig, args) -> int:
     """Tabulate the closed-form shifts next to the Floquet splitting oracle."""
     p = cfg.drive()
     rows = []
@@ -339,68 +358,45 @@ def _read_external_csv(path: str):
     return ts, fs
 
 
-def cmd_compare_external(cfg: ScenarioConfig, external_path: str) -> int:
-    """Interpolate an external fidelity column onto the run grid and merge."""
-    if cfg.out is None:
-        raise ConfigError("out: required for compare-external")
-    ext_t, ext_f = _read_external_csv(external_path)
-    periods = cfg.grid_periods()
-    if ext_t[0] > periods[0] + 1e-9 or ext_t[-1] < periods[-1] - 1e-9:
-        raise ConfigError(
-            f"external: grid [{ext_t[0]:g}, {ext_t[-1]:g}] does not cover the "
-            f"run's range [{periods[0]:g}, {periods[-1]:g}]"
-        )
-    header, rows = _run_simulation(cfg)
-    merged = np.column_stack([rows, np.interp(periods, ext_t, ext_f)])
-    _write_csv(cfg.out, cfg, header + ["external_fidelity"], merged)
-    print(f"wrote {len(merged)} samples (+external column) to {cfg.out}")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    # The override flags are absent from the namespace unless given, so each
+    # one present is a config key to override.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", required=True, help="flat key = value config file")
+    common.add_argument("--out", help="output CSV path (overrides config)")
+    common.add_argument("--kappa", type=float, help="'much greater than' threshold")
+    common.add_argument("--steps-per-period", type=int, dest="steps_per_period",
+                        help="integrator steps per shortest period")
+    common.add_argument("--seed", type=int, help="reserved; no stochastic paths")
+
     parser = argparse.ArgumentParser(
         prog="cgmagnus",
         description="Coarse-grained Magnus effective dynamics of a driven two-level system",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--config", required=True, help="flat key = value config file")
-        sp.add_argument("--out", help="output CSV path (overrides config)")
-        sp.add_argument("--kappa", type=float, help="'much greater than' threshold")
-        sp.add_argument("--steps-per-period", type=int, dest="steps_per_period",
-                        help="integrator steps per shortest period")
-        sp.add_argument("--seed", type=int, help="reserved; no stochastic paths")
-
-    sp = sub.add_parser("simulate", help="fidelity-vs-time CSV for the configured models")
-    add_common(sp)
+    sp = sub.add_parser("simulate", parents=[common], help="fidelity-vs-time CSV for the configured models")
     sp.add_argument("--strict-regime", action="store_true",
                     help="exit 3 when a validity ratio falls below kappa")
+    sp.set_defaults(run=cmd_simulate, external=None)
 
-    sp = sub.add_parser("regime", help="coarse-graining validity report")
-    add_common(sp)
+    sp = sub.add_parser("regime", parents=[common], help="coarse-graining validity report")
+    sp.set_defaults(run=cmd_regime)
 
-    sp = sub.add_parser("shifts", help="closed-form shifts and the Floquet splitting")
-    add_common(sp)
+    sp = sub.add_parser("shifts", parents=[common], help="closed-form shifts and the Floquet splitting")
+    sp.set_defaults(run=cmd_shifts)
 
-    sp = sub.add_parser("compare-external", help="merge an external fidelity column")
-    add_common(sp)
+    sp = sub.add_parser("compare-external", parents=[common], help="merge an external fidelity column")
     sp.add_argument("--external", required=True, help="CSV with t_over_period,fidelity")
+    sp.set_defaults(run=cmd_simulate, strict_regime=False)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in ("out", "kappa", "steps_per_period", "seed")}
     try:
-        cfg = load_config(args.config, overrides)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, strict_regime=args.strict_regime)
-        if args.command == "regime":
-            return cmd_regime(cfg)
-        if args.command == "shifts":
-            return cmd_shifts(cfg)
-        return cmd_compare_external(cfg, args.external)
+        cfg = load_config(args.config, {k: v for k, v in vars(args).items() if k in _PARSERS})
+        return args.run(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

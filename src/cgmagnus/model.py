@@ -110,11 +110,14 @@ def _rotating(t: float, nu: float, amplitude: float) -> PauliCoeffs:
 def h_interaction(t: float, p: DriveParams) -> PauliCoeffs:
     """Drive Hamiltonian conjugated into the interaction picture.
 
-    Equals e^{i H0 t} (H(t) - H0) e^{-i H0 t}; here evaluated in closed form as
-    the sum of the corotating and counterrotating parts, which the tests pin
-    against the direct matrix conjugation.
+    Equals e^{i H0 t} (H(t) - H0) e^{-i H0 t}: the drive W cos(omega t) sigma1
+    seen from the frame rotating at epsilon.  This one rotating term is the sum
+    of the corotating and counterrotating parts, since
+    cos(delta t) + cos((epsilon + omega) t) = 2 cos(epsilon t) cos(omega t)
+    (likewise for sin); the tests pin both forms against the direct matrix
+    conjugation.
     """
-    return h_rw_interaction(t, p) + h_cr_interaction(t, p)
+    return _rotating(t, p.epsilon, p.amplitude * np.cos(p.omega * t))
 
 
 def h_rw_interaction(t: float, p: DriveParams) -> PauliCoeffs:

@@ -318,6 +318,45 @@ def test_delta_alone_sets_epsilon(tmp_path):
     assert loaded.epsilon == 4.0
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("amplitude = 0.5\nepsilon = 4.0\nAmplitude = 0.7\n",
+         "config line 3: amplitude given twice (first on line 1)"),
+        ("epsilon = 4.0\n= 3\n", "config line 2: expected 'key = value'"),
+    ],
+    ids=["repeated_key", "empty_key"],
+)
+def test_config_line_faults_exit_2_naming_the_line(tmp_path, capsys, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["regime", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "regime", "shifts", "compare-external"])
+def test_override_flags_reach_the_config(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, samples="9", t_max_periods="2")
+    ext = tmp_path / "ext.csv"
+    _external_csv(ext, np.linspace(0.0, 2.0, 5), np.full(5, 0.9))
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "compare-external":
+        argv += ["--external", str(ext)]
+    for flag, field in (("--kappa", "kappa"), ("--steps-per-period", "steps_per_period")):
+        assert main(argv + [flag, "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: {field}: ")
+    assert not out.exists()
+    if command == "regime":
+        assert main(argv + ["--kappa", "3"]) == 0
+        assert '"kappa": 3.0' in capsys.readouterr().out.split("json: ", 1)[1]
+    elif command != "shifts":
+        assert main(argv + ["--kappa", "3", "--seed", "7", "--steps-per-period", "150"]) == 0
+        comments, _, _ = read_csv(out)
+        assert {"# kappa = 3.0", "# seed = 7", "# steps_per_period = 150"} <= set(comments)
+
+
 def test_missing_out_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     rc = main(["simulate", "--config", str(cfg)])

@@ -79,6 +79,8 @@ def test_h_interaction_matches_conjugation_oracle(rng):
 
 
 def test_corotating_plus_counterrotating_decomposition(rng):
+    # h_interaction is one term rotating at epsilon; the corotating and
+    # counterrotating closed forms must sum to it.
     p = FIG_DISPERSIVE
     for _ in range(20):
         t = rng.uniform(-10, 10)
