@@ -216,13 +216,100 @@ def _run_simulation(cfg: ScenarioConfig):
     return header, np.column_stack([periods, *min_fidelity(u_exact, np.stack(u_models))])
 
 
+# The CSV's "%.12e" fields, 19 bytes each with the separator, built as arrays.
+# Rows are formatted in blocks of _CSV_ROWS, so temporaries stay O(block).
+_CSV_ROWS = 1024
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact in binary64
+_SPLITTER = 2.0**27 + 1.0  # Dekker's split into two 26-bit halves
+
+
+def _split(x):
+    """Dekker's split: hi + lo == x, each half with at most 26 significant bits."""
+    c = _SPLITTER * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+# Four ASCII digits per 32-bit word: _DIGITS4[k] holds the bytes of f"{k:04d}".
+_DIGITS4 = np.stack(
+    np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4, indexing="ij"), axis=-1
+).view("<u4").ravel()
+_EXPONENT = np.array([int.from_bytes(f"e{k:+03d}".encode(), "little") for k in range(-10, 11)], dtype="<u4")
+
+
+def _round13(x, e):
+    """round_half_even(x * 10**(12 - e)), decided on the exact product.
+
+    y + err == x * 10**p exactly (Dekker's TwoProduct).  Off a half-integer,
+    y is at least an ulp from the half-way point and |err| at most half an
+    ulp, so rint(y) is right; on one, err's sign says which side of the tie
+    the true product lies, and err == 0 is a true tie, rounded to even.
+    """
+    p = 12 - e
+    y = x * _POW10[p]
+    xh, xl = _split(x)
+    ph, pl = _POW10_HI[p], _POW10_LO[p]
+    err = xl * pl - (((y - xh * ph) - xl * ph) - xh * pl)
+    r = np.rint(y)
+    f = y - r
+    return r + np.copysign((np.abs(f) == 0.5) & (f * err > 0), f)
+
+
+def _format_e12(x: np.ndarray) -> np.ndarray | None:
+    """The ``"%.12e,"`` bytes of each value as an (n, 19) uint8 array.
+
+    Covers +0.0 and 1e-10 <= x < 1e10, where the decimal exponent stays in
+    [-10, 10] and 10**(12 - e) is exact; returns None for anything else.
+    """
+    zero = x == 0
+    if not (((x >= 1e-10) & (x < 1e10)) | (zero & ~np.signbit(x))).all():
+        return None
+    x = np.where(zero, 1.0, x)
+    e = np.clip(np.floor(np.log10(x)), -10, 9).astype(np.intp)
+    n = _round13(x, e)
+    shift = (n >= 1e13).astype(np.intp) - (n < 1e12)  # log10 off by one, or rounded up a decade
+    if shift.any():
+        e += shift
+        n = _round13(x, e)
+        if not ((n >= 1e12) & (n < 1e13)).all():
+            return None
+    n = np.where(zero, 0, n.astype(np.int64))  # 13 digits, exact below 2**53
+    out = np.empty((len(x), 19), dtype=np.uint8)
+    lead = n // 10**12
+    out[:, 0] = lead + ord("0")
+    out[:, 1] = ord(".")
+    n -= lead * 10**12
+    words = out[:, 2:18].view("<u4")
+    for j, k in enumerate((8, 4, 0)):
+        q = n // 10**k
+        words[:, j] = _DIGITS4[q]
+        n -= q * 10**k
+    words[:, 3] = _EXPONENT[e + 10]
+    out[:, 18] = ord(",")
+    return out
+
+
 def _write_csv(path: str, cfg: ScenarioConfig, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        for line in cfg.effective_lines():
-            f.write(f"# {line}\n")
-        f.write(",".join(header) + "\n")
-        nrows, ncols = rows.shape
-        f.write((",".join(["%.12e"] * ncols) + "\n") * nrows % tuple(rows.ravel().tolist()))
+    """Write the ``#`` config lines, the header and ``rows`` as ``%.12e`` fields.
+
+    Blocks whose values :func:`_format_e12` covers are formatted as arrays;
+    any other block goes through the ``%`` template.  The bytes are the same.
+    """
+    head = [f"# {line}\n" for line in cfg.effective_lines()] + [",".join(header) + "\n"]
+    nrows, ncols = rows.shape
+    template = ",".join(["%.12e"] * ncols) + "\n"
+    with open(path, "wb") as f:
+        f.write("".join(head).encode("utf-8"))
+        for start in range(0, nrows, _CSV_ROWS):
+            values = np.asarray(rows[start:start + _CSV_ROWS], dtype=float).ravel()
+            out = _format_e12(values)
+            if out is None:
+                f.write((template * (len(values) // ncols) % tuple(values.tolist())).encode("ascii"))
+            else:
+                out = out.reshape(-1, ncols * 19)
+                out[:, -1] = ord("\n")
+                f.write(out)
 
 
 def cmd_simulate(cfg: ScenarioConfig, args) -> int:

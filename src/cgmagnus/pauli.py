@@ -125,12 +125,16 @@ def unitarity_defect(m: np.ndarray) -> float | np.ndarray:
     """Max of the entrywise deviation of U^dagger U from 1 and of ||det U| - 1|.
 
     A stack of shape (..., 2, 2) gives one defect per matrix; the Gram matrix
-    is formed from the four entries.  NaN entries give a NaN defect, which
-    every ``defect <= tol`` check rejects.
+    is formed from the four entries directly, with no reduction over the
+    length-2 axes.  NaN entries give a NaN defect, which every
+    ``defect <= tol`` check rejects.
     """
     m = np.asarray(m, dtype=complex)
     p, q, r, s = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    diag = np.abs((np.abs(m) ** 2).sum(axis=-2) - 1.0).max(axis=-1)  # |p|^2 + |r|^2 and |q|^2 + |s|^2
+    diag = np.maximum(
+        np.abs(np.abs(p) ** 2 + np.abs(r) ** 2 - 1.0),
+        np.abs(np.abs(q) ** 2 + np.abs(s) ** 2 - 1.0),
+    )
     gram = np.maximum(diag, np.abs(p.conj() * q + r.conj() * s))
     return np.maximum(gram, np.abs(np.abs(p * s - q * r) - 1.0))
 
@@ -182,12 +186,16 @@ def _expm_pair(p: PauliCoeffs, dt) -> np.ndarray:
 def _pair_matrix(ab: np.ndarray, phase) -> np.ndarray:
     """phase * [[a, b], [-b*, a*]] for a (2, ...) stack of pairs (a, b), as a (..., 2, 2) stack."""
     a, b = ab
-    m = np.empty(a.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = a
-    m[..., 0, 1] = b
-    m[..., 1, 0] = -b.conj()
-    m[..., 1, 1] = a.conj()
-    return m * np.asarray(phase)[..., None, None]
+    # A 0-d phase keeps scalar pairs on the ufunc's complex loop, as for stacks:
+    # numpy's scalar complex product can round differently in the last bit.
+    e = np.asarray(phase)
+    ea = a * e
+    m = np.empty(np.shape(ea) + (2, 2), dtype=complex)
+    m[..., 0, 0] = ea
+    m[..., 0, 1] = b * e
+    m[..., 1, 0] = -b.conj() * e
+    m[..., 1, 1] = a.conj() * e
+    return m
 
 
 def _expm_matrix(p: PauliCoeffs, dt) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cgmagnus import DriveParams, NotUnitary, cli, h_rwa_plus_bs, validate_regime
-from cgmagnus.cli import _MAX_AMPLITUDE, _MAX_STEPS, _MODELS, _write_csv, load_config, main
+from cgmagnus.cli import _CSV_ROWS, _MAX_AMPLITUDE, _MAX_STEPS, _MODELS, _format_e12, _write_csv, load_config, main
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -75,15 +75,67 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert out.read_bytes() == first
 
 
+def per_value_csv(cfg, header, rows) -> bytes:
+    """The CSV as formatted one value at a time with f"{v:.12e}"."""
+    lines = [f"# {line}\n" for line in cfg.effective_lines()] + [",".join(header) + "\n"]
+    lines += [",".join(f"{v:.12e}" for v in row) + "\n" for row in rows]
+    return "".join(lines).encode("utf-8")
+
+
 def test_write_csv_matches_per_value_formatting(tmp_path, rng):
+    # Values outside the array formatter's range: the whole block takes the % template.
     cfg = load_config(str(write_cfg(tmp_path)))
     edge = [0.0, -0.0, 1.0, 1e-300, 5e-324, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1e300]
     rows = np.concatenate([np.reshape(edge, (-1, 2)), rng.uniform(0.0, 1.0, size=(7, 2))])
     out = tmp_path / "t.csv"
     _write_csv(str(out), cfg, ["a", "b"], rows)
-    lines = [f"# {line}\n" for line in cfg.effective_lines()] + ["a,b\n"]
-    lines += [",".join(f"{v:.12e}" for v in row) + "\n" for row in rows]
-    assert out.read_bytes() == "".join(lines).encode("utf-8")
+    assert out.read_bytes() == per_value_csv(cfg, ["a", "b"], rows)
+
+
+def _in_range_tables():
+    rng = np.random.default_rng(1913)
+    powers = np.array([float(f"1e{k}") for k in range(-10, 10)])
+    uniform = rng.uniform(1.0, 10.0, size=(20, 200)) * powers[:, None]
+    ties = 1.0 + np.arange(1, 8192 * 9) / 8192  # odd k: 14 digits ending in 5, a tie at 13
+    # The neighbour below 1e-10 lies outside the exact path.
+    neighbours = np.concatenate([np.nextafter(powers[1:], 0.0), powers, np.nextafter(powers, np.inf)])
+    # Decimal ties that binary64 misses by less than half an ulp of x * 10**p: only
+    # the exact product's error term tells which way they round.
+    near = (rng.integers(10**12, 10**13, size=2000) + 0.5) / 10.0 ** rng.integers(3, 23, size=2000)
+    near = np.concatenate([np.nextafter(near, 0.0), near, np.nextafter(near, np.inf)])
+    decade = np.array([9.9999999999995, 9.99999999999949, 9.999999999999501, 0.99999999999995, 99.99999999999995])
+    decade = np.concatenate([decade, 9.9999999999995 * powers[:-1], 9.99999999999996 * powers[:-1], [9999999999.9999]])
+    return {
+        "uniform_1e-10_to_1e10": uniform.reshape(-1, 4),
+        "ties_one_plus_k_over_8192": ties.reshape(-1, 1),
+        "nextafter_powers_of_ten": neighbours.reshape(-1, 1),
+        "near_ties": near.reshape(-1, 4),
+        "rounds_up_a_decade": decade.reshape(-1, 1),
+        "zero": np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 1e-10, 0.0, 0.0]]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_in_range_tables()))
+def test_write_csv_array_path_matches_per_value_formatting(tmp_path, name):
+    rows = _in_range_tables()[name]
+    assert _format_e12(rows.ravel()) is not None  # every value is on the exact path
+    cfg = load_config(str(write_cfg(tmp_path)))
+    header = [f"c{k}" for k in range(rows.shape[1])]
+    out = tmp_path / "t.csv"
+    _write_csv(str(out), cfg, header, rows)
+    assert out.read_bytes() == per_value_csv(cfg, header, rows)
+
+
+@pytest.mark.parametrize("odd", [-1.0, -0.0, 5e-11, 1e10, np.inf, np.nan])
+def test_write_csv_one_out_of_range_value_among_in_range_rows(tmp_path, rng, odd):
+    rows = rng.uniform(0.0, 1.0, size=(2 * _CSV_ROWS + 7, 3))
+    rows[_CSV_ROWS + 5, 1] = odd  # the second block falls back, the others do not
+    assert _format_e12(rows[:_CSV_ROWS].ravel()) is not None
+    assert _format_e12(rows[_CSV_ROWS:2 * _CSV_ROWS].ravel()) is None
+    cfg = load_config(str(write_cfg(tmp_path)))
+    out = tmp_path / "t.csv"
+    _write_csv(str(out), cfg, ["a", "b", "c"], rows)
+    assert out.read_bytes() == per_value_csv(cfg, ["a", "b", "c"], rows)
 
 
 def test_effective_config_roundtrip(tmp_path):

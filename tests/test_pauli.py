@@ -13,6 +13,7 @@ from cgmagnus import (
     compose,
     decompose,
     expm_pauli,
+    min_fidelity,
 )
 from cgmagnus.pauli import ID2, SIGMA1, SIGMA2, unitarity_defect
 
@@ -153,6 +154,44 @@ def test_unitary2_rejects_nan():
     with pytest.raises(NotUnitary):
         Unitary2(np.full((2, 2), np.nan))
     assert math.isnan(unitarity_defect(np.full((2, 2), np.nan)))
+
+
+def _near_unitary_stack(rng, shape):
+    """Random unitaries with entry-wise perturbations from 1e-16 to 1e-8."""
+    u = np.array([random_unitary(rng) for _ in range(math.prod(shape))]).reshape(shape + (2, 2))
+    scale = 10.0 ** rng.uniform(-16, -8, size=shape + (2, 2))
+    return u + scale * (rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape))
+
+
+def test_unitarity_defect_of_a_stack_is_per_matrix(rng):
+    m = _near_unitary_stack(rng, (3, 40))
+    got = unitarity_defect(m)
+    assert got.shape == (3, 40)
+    for idx in np.ndindex(3, 40):
+        assert got[idx] == unitarity_defect(m[idx])
+    # Independent reference: U^dagger U and det from matmul and LU.
+    gram = np.abs(m.conj().swapaxes(-1, -2) @ m - ID2).max(axis=(-2, -1))
+    det = np.abs(np.abs(np.linalg.det(m)) - 1.0)
+    np.testing.assert_allclose(got, np.maximum(gram, det), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("nan", [complex(np.nan, 0.0), complex(0.0, np.nan)])
+def test_unitarity_defect_of_a_stack_propagates_nan(rng, entry, nan):
+    m = _near_unitary_stack(rng, (2, 5))
+    m[1, 3][entry] += nan
+    got = unitarity_defect(m)
+    assert np.isnan(got[1, 3])
+    assert np.isnan(got).sum() == 1
+
+
+def test_min_fidelity_rejects_one_defective_matrix_in_a_large_stack(rng):
+    u = np.array([random_unitary(rng) for _ in range(5000)])
+    assert min_fidelity(u, u).min() > 1.0 - 1e-12
+    u[2718] *= 1.0 + 5e-12  # |U^dagger U - 1| and ||det U| - 1| both about 1e-11
+    assert 0.9e-11 < unitarity_defect(u[2718]) < 1.1e-11
+    with pytest.raises(NotUnitary):
+        min_fidelity(u, u[::-1])
 
 
 def test_coeffs_arithmetic():

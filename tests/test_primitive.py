@@ -247,6 +247,21 @@ def test_scan_matches_sequential_product(n, seed):
         assert np.abs(got[k] - u).max() <= 1e-12
 
 
+def test_pair_matrix_applies_the_phase_per_entry(rng):
+    ab = rng.normal(size=(2, 3, 7)) + 1j * rng.normal(size=(2, 3, 7))
+    ab[1, 0] = 0.0  # b = 0, as in dt = 0 steps
+    phase = np.exp(1j * rng.normal(size=(3, 7)))
+    for x, e in ((ab, phase), (ab, 1.0), (ab[:, 0, 0], phase[0, 0]), (ab[:, 0, :1], phase)):
+        a, b = x
+        bare = np.moveaxis(np.array([[a, b], [-b.conj(), a.conj()]]), (0, 1), (-2, -1))
+        want = bare * np.asarray(e)[..., None, None]  # the whole matrix, then the phase
+        got = _pair_matrix(x, e)
+        assert got.shape == want.shape
+        for part in (np.real, np.imag):  # equal to the bit, signed zeros included
+            assert np.array_equal(part(got), part(want))
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 2100), seed=st.integers(0, 2**32 - 1))
 def test_mul_matches_matmul(n, seed):
