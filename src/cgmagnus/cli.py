@@ -18,11 +18,12 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AmplitudePole, ConfigError, MagnusError, NotResonant
+from .errors import AmplitudePole, ConfigError, DegenerateSplittingWarning, MagnusError, NotResonant
 from .fidelity import min_fidelity
 from .magnus import h_eff_order2_analytic
 from .model import DriveParams, h_interaction, h_rw_interaction
@@ -98,17 +99,21 @@ class ScenarioConfig:
         ]
 
 
-def _parse_kv_file(path: str) -> dict:
-    raw, first_line = {}, {}
+def _read_lines(field: str, path: str) -> list[tuple[int, str]]:
+    """The (line number, stripped text) of each line of a UTF-8 file that is
+    neither blank nor a ``#`` comment; a read fault is a ConfigError on ``field``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path!r}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
+        raise ConfigError(f"{field}: cannot read {path!r}: {exc}") from exc
+    numbered = ((lineno, line.strip()) for lineno, line in enumerate(lines, start=1))
+    return [(lineno, text) for lineno, text in numbered if text and not text.startswith("#")]
+
+
+def _parse_kv_file(path: str) -> dict:
+    raw, first_line = {}, {}
+    for lineno, stripped in _read_lines("config", path):
         key, eq, value = stripped.partition("=")
         key = key.strip().lower()
         if not eq or not key:
@@ -177,9 +182,11 @@ def load_config(path: str, overrides: dict | None = None) -> ScenarioConfig:
 
 
 def _validate(cfg: ScenarioConfig) -> None:
-    for key in ("epsilon", "tau_periods", "t_max_periods", "kappa"):
+    for key in ("epsilon", "tau", "t_max_periods", "kappa"):  # tau: the value the library receives
         value = getattr(cfg, key)
         if value is not None and not 0 < value < math.inf:
+            if key == "tau":  # 2*pi*tau_periods overflows from about 2.9e307 periods
+                raise ConfigError(f"tau_periods: 2*pi*tau_periods must be finite and > 0, got {cfg.tau_periods}")
             raise ConfigError(f"{key}: must be finite and > 0, got {value}")
     if not 0 <= cfg.amplitude <= _MAX_AMPLITUDE:
         raise ConfigError(f"amplitude: must be in [0, {_MAX_AMPLITUDE:g}], got {cfg.amplitude}")
@@ -295,21 +302,25 @@ def _write_csv(path: str, cfg: ScenarioConfig, header, rows) -> None:
 
     Blocks whose values :func:`_format_e12` covers are formatted as arrays;
     any other block goes through the ``%`` template.  The bytes are the same.
+    A fault opening or writing ``path`` is a ConfigError on ``out``.
     """
     head = [f"# {line}\n" for line in cfg.effective_lines()] + [",".join(header) + "\n"]
     nrows, ncols = rows.shape
     template = ",".join(["%.12e"] * ncols) + "\n"
-    with open(path, "wb") as f:
-        f.write("".join(head).encode("utf-8"))
-        for start in range(0, nrows, _CSV_ROWS):
-            values = np.asarray(rows[start:start + _CSV_ROWS], dtype=float).ravel()
-            out = _format_e12(values)
-            if out is None:
-                f.write((template * (len(values) // ncols) % tuple(values.tolist())).encode("ascii"))
-            else:
-                out = out.reshape(-1, ncols * 19)
-                out[:, -1] = ord("\n")
-                f.write(out)
+    try:
+        with open(path, "wb") as f:
+            f.write("".join(head).encode("utf-8"))
+            for start in range(0, nrows, _CSV_ROWS):
+                values = np.asarray(rows[start:start + _CSV_ROWS], dtype=float).ravel()
+                out = _format_e12(values)
+                if out is None:
+                    f.write((template * (len(values) // ncols) % tuple(values.tolist())).encode("ascii"))
+                else:
+                    out = out.reshape(-1, ncols * 19)
+                    out[:, -1] = ord("\n")
+                    f.write(out)
+    except (OSError, ValueError) as exc:  # ValueError: open() refuses a NUL byte in the path
+        raise ConfigError(f"out: cannot write {path!r}: {exc}") from exc
 
 
 def cmd_simulate(cfg: ScenarioConfig, args) -> int:
@@ -345,13 +356,27 @@ def cmd_simulate(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
+def _strict(value):
+    """``value`` with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _print_json(record: dict) -> None:
+    """Print ``record`` as one ``json:`` line of strict JSON with sorted keys."""
+    print("json: " + json.dumps(_strict(record), sort_keys=True, allow_nan=False))
+
+
 def cmd_regime(cfg: ScenarioConfig, args) -> int:
     """Print validity ratios for the configured tau, or sweep tau if omitted."""
     p = cfg.drive()
     if cfg.tau_periods is not None:
         report = validate_regime(p, cfg.tau, cfg.kappa)
         print(report.table())
-        print("json: " + json.dumps(report.record(), sort_keys=True))
+        _print_json(report.record())
         return 0
 
     # No tau given: sweep the candidate window and print the feasible band.
@@ -359,6 +384,7 @@ def cmd_regime(cfg: ScenarioConfig, args) -> int:
     window = regime_window(p, cfg.kappa)
     if window is None:
         print(f"no finite tau window for the {case} case at these parameters")
+        _print_json({"case": case, "kappa": cfg.kappa, "sweep": [], "feasible_band": None})
         return 0
     lo, hi, band = window
     print(f"tau sweep ({case} case, kappa = {cfg.kappa:g}):")
@@ -376,8 +402,7 @@ def cmd_regime(cfg: ScenarioConfig, args) -> int:
             f"tau in [{band[0]:.6g}, {band[1]:.6g}] "
             f"([{band[0] / _TWO_PI:.4g}, {band[1] / _TWO_PI:.4g}] periods)"
         )
-    feasible = None if band is None else list(band)
-    print("json: " + json.dumps({"case": case, "kappa": cfg.kappa, "sweep": records, "feasible_band": feasible}, sort_keys=True))
+    _print_json({"case": case, "kappa": cfg.kappa, "sweep": records, "feasible_band": band})
     return 0
 
 
@@ -398,8 +423,11 @@ def cmd_shifts(cfg: ScenarioConfig, args) -> int:
         rows.append(("S_bs' (off-diagonal Bloch-Siegert)", math.nan, " (amplitude at/beyond the 2*omega pole)"))
     except NotResonant:
         pass
-    fl = floquet_splitting(p, steps=default_floquet_steps(p, cfg.steps_per_period))
-    rows.append(("floquet splitting (monodromy)", fl, ""))
+    with warnings.catch_warnings(record=True) as caught:  # annotated below, not printed raw
+        warnings.simplefilter("always", DegenerateSplittingWarning)
+        fl = floquet_splitting(p, steps=default_floquet_steps(p, cfg.steps_per_period))
+    degenerate = any(issubclass(w.category, DegenerateSplittingWarning) for w in caught)
+    rows.append(("floquet splitting (monodromy)", fl, " (degenerate eigenphases)" if degenerate else ""))
     if pred is not None:
         rows.append(("|floquet - resonant prediction|", abs(fl - pred), ""))
 
@@ -411,11 +439,7 @@ def cmd_shifts(cfg: ScenarioConfig, args) -> int:
 
 
 def _read_external_csv(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = [ln.strip() for ln in f if ln.strip() and not ln.lstrip().startswith("#")]
-    except OSError as exc:
-        raise ConfigError(f"external: cannot read {path!r}: {exc}") from exc
+    lines = [text for _, text in _read_lines("external", path)]
     if not lines:
         raise ConfigError("external: CSV is empty")
     header = [h.strip().lower() for h in lines[0].split(",")]

@@ -1,17 +1,23 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from cgmagnus import DriveParams, NotUnitary, cli, h_rwa_plus_bs, validate_regime
-from cgmagnus.cli import _CSV_ROWS, _MAX_AMPLITUDE, _MAX_STEPS, _MODELS, _format_e12, _write_csv, load_config, main
+from cgmagnus.cli import (
+    _CSV_ROWS, _MAX_AMPLITUDE, _MAX_STEPS, _MODELS, _PARSERS, _format_e12, _write_csv, load_config, main,
+)
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -40,6 +46,15 @@ def read_csv(path):
     header = data[0].split(",")
     rows = np.array([[float(v) for v in ln.split(",")] for ln in data[1:]])
     return comments, header, rows
+
+
+def _strict_json_lines(out):
+    """Every ``json:`` line of ``out``, parsed as strict JSON (no NaN or Infinity)."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return [json.loads(ln[len("json: "):], parse_constant=refuse)
+            for ln in out.splitlines() if ln.startswith("json: ")]
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -485,7 +500,8 @@ def _regime_sweep(tmp_path, capsys, epsilon, amplitude):
     cfg = write_cfg(tmp_path, epsilon=str(epsilon), amplitude=str(amplitude),
                     tau_periods=None, models="rwa")
     assert main(["regime", "--config", str(cfg)]) == 0
-    return json.loads(capsys.readouterr().out.split("json: ", 1)[1])
+    [record] = _strict_json_lines(capsys.readouterr().out)
+    return record
 
 
 @pytest.mark.parametrize("epsilon,amplitude,lo,hi,feasible", SWEEP_DRIVES)
@@ -516,7 +532,10 @@ def test_regime_sweep_without_finite_window(tmp_path, capsys, epsilon, amplitude
     cfg = write_cfg(tmp_path, epsilon=str(epsilon), amplitude=str(amplitude),
                     tau_periods=None, models="rwa")
     assert main(["regime", "--config", str(cfg)]) == 0
-    assert "no finite tau window" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "no finite tau window" in out
+    [record] = _strict_json_lines(out)
+    assert (record["sweep"], record["feasible_band"]) == ([], None)
 
 
 def test_shifts_table_dispersive(tmp_path, capsys):
@@ -526,6 +545,7 @@ def test_shifts_table_dispersive(tmp_path, capsys):
     assert out.count(f"{1.0 / 24.0:.10g}") == 1  # one value column
     assert f"{0.025:.10g}" in out
     assert "resonant" not in out  # the resonant prediction holds at delta = 0 only
+    assert "degenerate" not in out
 
 
 def test_shifts_resonant_prediction_close_to_floquet(tmp_path, capsys):
@@ -707,3 +727,134 @@ def test_simulate_matches_committed_golden(tmp_path, golden):
     assert header == g_header
     assert rows.shape == g_rows.shape
     assert np.abs(rows - g_rows).max() <= 1e-10
+
+
+# --- The boundary: every input read, every output written, every json: line ---
+
+NOT_UTF8 = b"\xff\xfe\x00bad"
+COMMANDS = ["simulate", "regime", "shifts", "compare-external"]
+
+
+def _boundary_argv(tmp_path, command, fault):
+    """argv for ``command`` on a good config and external CSV, with ``fault`` applied."""
+    cfg = write_cfg(tmp_path, tau_periods="1e308" if fault == "tau_periods" else "5.0")
+    if fault == "config":
+        cfg.write_bytes(NOT_UTF8)
+    ext = tmp_path / "ext.csv"
+    if fault == "external":
+        ext.write_bytes(b"t_over_period,fidelity\n" + NOT_UTF8)
+    else:
+        _external_csv(ext, np.linspace(0.0, 4.0, 5), np.full(5, 0.9))
+    out = {"out-directory": tmp_path, "out-missing-directory": tmp_path / "missing" / "x.csv"}.get(
+        fault, tmp_path / "x.csv")
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    return argv + ["--external", str(ext)] if command == "compare-external" else argv
+
+
+BOUNDARY_FAULTS = (
+    [(command, "config", "config") for command in COMMANDS]
+    + [("compare-external", "external", "external")]
+    + [(command, fault, "out") for command in ("simulate", "compare-external")
+       for fault in ("out-directory", "out-missing-directory")]
+    + [(command, "tau_periods", "tau_periods") for command in COMMANDS]
+)
+
+
+@pytest.mark.parametrize("command,fault,field", BOUNDARY_FAULTS, ids=str)
+def test_boundary_fault_exits_2_with_one_line_naming_the_field(tmp_path, capsys, command, fault, field):
+    assert main(_boundary_argv(tmp_path, command, fault)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith(f"config error: {field}: ")
+
+
+def test_boundary_fault_through_the_module_entry_point(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = _boundary_argv(tmp_path, "compare-external", "external")
+    run = subprocess.run([sys.executable, "-m", "cgmagnus", *argv],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 2 and run.stdout == "" and "Traceback" not in run.stderr
+    assert run.stderr.count("\n") == 1 and run.stderr.startswith("config error: external: cannot read ")
+
+
+@pytest.mark.parametrize(
+    "overrides,nulls",
+    [
+        ({"amplitude": "0", "models": "rwa"}, {"stark_window"}),  # 2*pi/(S_rw*tau) at S_rw = 0
+        ({"epsilon": "1.0", "amplitude": "2.5", "models": "rwa", "tau_periods": "1"}, {"prime_window"}),
+        ({}, set()),
+    ],
+    ids=["amplitude_0", "amplitude_pole", "dispersive"],
+)
+def test_regime_prints_one_strict_json_line(tmp_path, capsys, overrides, nulls):
+    # Non-finite ratios, and only those, are null; the sweeps are checked by _regime_sweep.
+    cfg = write_cfg(tmp_path, **overrides)
+    assert main(["regime", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [record] = _strict_json_lines(captured.out)
+    assert {c["name"] for c in record["checks"] if c["value"] is None} == nulls
+    assert all(math.isfinite(c["value"]) for c in record["checks"] if c["name"] not in nulls)
+
+
+@pytest.mark.parametrize("epsilon", ["4.0", "1.0"])
+def test_shifts_at_zero_amplitude_annotates_the_degenerate_splitting(tmp_path, capsys, epsilon):
+    cfg = write_cfg(tmp_path, epsilon=epsilon, amplitude="0", models="rwa")
+    assert main(["shifts", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [floquet] = [ln for ln in captured.out.splitlines() if "floquet splitting" in ln]
+    assert floquet.endswith(" (degenerate eigenphases)")
+
+
+# Config values at the edges of float and text; NOT_UTF8 makes the whole file unreadable.
+EXTREME_VALUES = [b"0", b"5e-324", b"-5e-324", b"1e-300", b"-1e-300", b"1e300", b"1e308",
+                  b"nan", b"inf", b"-inf", b"junk", b"", NOT_UTF8]
+# Values a run accepts, for the keys of a base config; the run-size keys stay small.
+TYPICAL_VALUES = {
+    "epsilon": [b"4", b"1", b"0.5"],
+    "amplitude": [b"0.5", b"0", b"2.5"],
+    "models": [b"rwa", b"rwa_bs", b"rwa, magnus2", b"resonant_magnus"],
+    "tau_periods": [b"5", b"1"],
+    "kappa": [b"5", b"1"],
+    "steps_per_period": [b"1", b"8", b"20"],
+    "samples": [b"2", b"5", b"16"],
+    "t_max_periods": [b"0.5", b"1", b"2"],
+}
+
+
+@st.composite
+def config_lines(draw):
+    """``key = value`` lines: a base config with up to two keys set to an
+    extreme value or dropped, among them the optional and unknown keys."""
+    values = {key: draw(st.sampled_from(table)) for key, table in TYPICAL_VALUES.items()}
+    keys = [k for k in _PARSERS if k != "out"] + ["colour", "EPSILON"]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        values[key] = draw(st.sampled_from(EXTREME_VALUES + [None]))
+    lines = [key.encode() + b" = " + value for key, value in values.items() if value is not None]
+    return draw(st.permutations(lines))
+
+
+@pytest.mark.parametrize("command", [["regime"], ["shifts"], ["simulate"], ["simulate", "--strict-regime"]],
+                         ids=" ".join)
+@settings(max_examples=100, deadline=None)
+@given(lines=config_lines(), out=st.sampled_from(["x.csv", "x.csv", None, ".", "missing/x.csv", "x\0y.csv"]))
+def test_main_never_raises_at_the_boundary(command, lines, out):
+    with tempfile.TemporaryDirectory() as tmp:
+        if out is not None:
+            lines = lines + [b"out = " + os.path.join(tmp, out).encode()]
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_bytes(b"\n".join(lines) + b"\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main([*command, "--config", str(cfg)])
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        assert stderr.getvalue() == ""
+    if rc == 2:
+        assert stderr.getvalue().count("\n") == 1
+    if command[0] == "regime" and rc == 0:
+        assert len(_strict_json_lines(stdout.getvalue())) == 1
+    event(f"{command[0]} exits {rc}")

@@ -52,3 +52,23 @@ def test_cli_imports_no_private_library_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _callers(path: Path, is_target) -> list[str]:
+    """The enclosing top-level function of each call ``is_target`` accepts, in order."""
+    callers = []
+    for node in ast.parse(path.read_text()).body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        callers += [owner for call in ast.walk(node) if isinstance(call, ast.Call) and is_target(call.func)]
+    return callers
+
+
+def test_cli_boundary_has_one_reader_one_writer_one_emitter():
+    # Files are opened only by the line reader and the CSV writer, and JSON is
+    # serialized only by the strict emitter: a new input or output reuses them.
+    cli = PACKAGE / "cli.py"
+    opens = _callers(cli, lambda f: (isinstance(f, ast.Name) and f.id == "open") or (
+        isinstance(f, ast.Attribute) and f.attr in {"open", "read_text", "read_bytes", "write_text", "write_bytes"}))
+    assert opens == ["_read_lines", "_write_csv"]
+    dumps = _callers(cli, lambda f: isinstance(f, ast.Attribute) and f.attr in {"dump", "dumps"})
+    assert dumps == ["_print_json"]
