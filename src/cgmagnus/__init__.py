@@ -32,6 +32,7 @@ from .magnus import (
 from .model import (
     DriveParams,
     Frame,
+    RotatingGenerator,
     h_bar,
     h_cr_interaction,
     h_interaction,

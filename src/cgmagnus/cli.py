@@ -26,8 +26,7 @@ import numpy as np
 from .errors import AmplitudePole, ConfigError, DegenerateSplittingWarning, MagnusError, NotResonant
 from .fidelity import min_fidelity
 from .magnus import h_eff_order2_analytic
-from .model import DriveParams, h_interaction, h_rw_interaction
-from .pauli import PauliCoeffs
+from .model import DriveParams, RotatingGenerator, h_interaction, h_rwa
 from .propagation import (
     DEFAULT_STEPS_PER_PERIOD,
     default_floquet_steps,
@@ -39,6 +38,7 @@ from .shifts import (
     bloch_siegert_prime_shift,
     bloch_siegert_shift,
     h_eff_resonant_interaction,
+    h_rwa_plus_bs,
     regime_window,
     resonant_splitting,
     stark_shift,
@@ -49,12 +49,13 @@ __all__ = ["ScenarioConfig", "load_config", "main"]
 
 # Every effective model: name -> (builder (p, tau) -> generator, needs tau_periods).
 # A generator is a callable of t or a static PauliCoeffs, which is propagated by
-# exact exponentials.  Where a model does not apply, its library function raises.
+# exact exponentials.  The RWA rows are RotatingGenerators: static bodies turned
+# at the detuning, whose midpoint products propagation forms in closed form.
+# Where a model does not apply, its library function raises.
 _MODELS = {
     "magnus2": (lambda p, tau: lambda t: h_eff_order2_analytic(t, p, tau), True),
-    "rwa": (lambda p, tau: lambda t: h_rw_interaction(t, p), False),
-    "rwa_bs": (lambda p, tau: lambda t: h_rw_interaction(t, p)
-               + PauliCoeffs(0.0, 0.0, 0.0, -0.5 * bloch_siegert_shift(p)), False),
+    "rwa": (lambda p, tau: RotatingGenerator(p.detuning, h_rwa(p)), False),
+    "rwa_bs": (lambda p, tau: RotatingGenerator(p.detuning, h_rwa_plus_bs(p)), False),
     "resonant_magnus": (lambda p, tau: h_eff_resonant_interaction(p), False),
 }
 

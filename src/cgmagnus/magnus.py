@@ -214,7 +214,9 @@ def h_eff2_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
         - np.exp(-0.5j * b * tau) * sinc(0.5 * d * tau) / b
         - np.exp(0.5j * d * tau) * sinc(0.5 * b * tau) / d
     )
-    oscillating = -w2_4 * (np.exp(2.0j * p.omega * t) * bracket).real
+    # Re{e^{2 i omega t} bracket} as one real cosine, shifted by the bracket's phase.
+    shift = math.atan2(bracket.imag, bracket.real)
+    oscillating = -w2_4 * abs(bracket) * np.cos(2.0 * p.omega * t + shift)
     return PauliCoeffs(0.0, 0.0, 0.0, static + oscillating)
 
 

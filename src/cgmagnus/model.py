@@ -12,6 +12,9 @@ interaction picture the corotating part oscillates at the detuning
 ``delta = epsilon - omega`` and the counterrotating part at ``epsilon + omega``.
 Each is a rotating term A (cos(nu t) sigma1 + sin(nu t) sigma2), written once
 as ``_rotating``, and ``DriveParams.is_resonant`` alone decides delta = 0.
+A static operator turned about sigma3 at a constant rate is a
+``RotatingGenerator``, whose midpoint product ``propagation`` forms in
+closed form.
 This module imports only ``pauli``; the Hamiltonians that contain a level
 shift live in ``shifts``.
 """
@@ -28,6 +31,7 @@ from .pauli import PauliCoeffs, _expm_matrix
 __all__ = [
     "DriveParams",
     "Frame",
+    "RotatingGenerator",
     "h_lab",
     "h_interaction",
     "h_rw_interaction",
@@ -89,6 +93,26 @@ class Frame(Enum):
     BAR = "bar"
 
 
+@dataclass(frozen=True)
+class RotatingGenerator:
+    """h(t) = R(rate t) body R(rate t)^dagger, R(theta) = e^{-i theta sigma3 / 2}.
+
+    The static ``body`` turned about sigma3 by rate * t: (c1 + i c2) gains the
+    phase e^{i rate t}, and c0, c3 stay.  Called on times, it is a generator
+    like any other; ``propagation`` forms the midpoint rule's product of this
+    kind in closed form, without calling it.
+    """
+
+    rate: float
+    body: PauliCoeffs
+
+    def __call__(self, t) -> PauliCoeffs:
+        phase = self.rate * t
+        cos, sin = np.cos(phase), np.sin(phase)
+        b = self.body
+        return PauliCoeffs(b.c0, b.c1 * cos - b.c2 * sin, b.c1 * sin + b.c2 * cos, b.c3)
+
+
 def h0_coeffs(p: DriveParams) -> PauliCoeffs:
     """Bare Hamiltonian H0 = -(epsilon/2) sigma3."""
     return PauliCoeffs(0.0, 0.0, 0.0, -0.5 * p.epsilon)
@@ -121,8 +145,8 @@ def h_interaction(t: float, p: DriveParams) -> PauliCoeffs:
 
 
 def h_rw_interaction(t: float, p: DriveParams) -> PauliCoeffs:
-    """Corotating part in the interaction picture, rotating at the detuning."""
-    return _rotating(t, p.detuning, 0.5 * p.amplitude)
+    """Corotating part in the interaction picture: ``h_rwa`` rotating at the detuning."""
+    return RotatingGenerator(p.detuning, h_rwa(p))(t)
 
 
 def h_cr_interaction(t: float, p: DriveParams) -> PauliCoeffs:

@@ -9,13 +9,17 @@ checks in the tests guarding against systematic bias.
 A generator is a function of an ndarray of times.  It returns PauliCoeffs
 whose fields broadcast to that shape, or a Hermitian stack of shape
 ``ts.shape + (2, 2)``; a constant result is broadcast.  A static generator (a
-PauliCoeffs or Hermitian matrix) is exponentiated exactly.  The step policy
-lives here: ``max_step`` per shortest period and ``_step_count`` per span.
+PauliCoeffs or Hermitian matrix) is exponentiated exactly.  A
+``RotatingGenerator``, a static body turned about sigma3 at a constant rate,
+is never called: ``_rotating_product`` gives the midpoint rule's own product
+for it in closed form, the same numbers up to rounding, at a cost that does
+not depend on the step count.  The step policy lives here: ``max_step`` per
+shortest period and ``_step_count`` per span.
 
-Every propagator comes from ``_product``, which reduces inside intervals and
-scans across them.  Each interval's steps fill rows of width w: the lower
-median m of the non-empty step counts, split into ceil(m / _BLOCK) equal
-rows, so w is at most _BLOCK.  A chunk of _BLOCK // w rows is a dense
+Every propagator comes from ``_product``.  For any other callable it reduces
+inside intervals and scans across them.  Each interval's steps fill rows of
+width w: the lower median m of the non-empty step counts, split into
+ceil(m / _BLOCK) equal rows, so w is at most _BLOCK.  A chunk of _BLOCK // w rows is a dense
 (rows, w) lattice of steps, the same for every chunk: a column past its row's
 last step is a dt = 0 step, the identity, at the row's last midpoint, so the
 generator sees only times inside the grid.  Padding at most triples the
@@ -42,8 +46,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSplittingWarning, UnknownFramePair
-from .model import DriveParams, Frame, h0_coeffs, h_lab, u_x
-from .pauli import ID2, Unitary2, _checked_unitary, _expm_matrix, _expm_pair, _mul, _pair_matrix, as_coeffs
+from .model import DriveParams, Frame, RotatingGenerator, h0_coeffs, h_lab, u_x
+from .pauli import (
+    _TINY,
+    ID2,
+    Unitary2,
+    _checked_unitary,
+    _expm_matrix,
+    _expm_pair,
+    _mul,
+    _pair_matrix,
+    as_coeffs,
+)
 
 __all__ = [
     "PropagationSpec",
@@ -91,13 +105,18 @@ class PropagationSpec:
 def _scan(m: np.ndarray) -> np.ndarray:
     """Running products m[..., k] @ ... @ m[..., 0] of a (2, n) pair stack: Blelloch's work-efficient scan."""
     n = m.shape[-1]
-    if n == 1:
+    if n <= 1:
         return m
     odd = _scan(_mul(m[..., 1::2], m[..., 0 : n - 1 : 2]))
     out = m.copy()
     out[..., 1::2] = odd
     out[..., 2::2] = _mul(m[..., 2::2], odd[..., : (n - 1) // 2])
     return out
+
+
+def _reproject(ab: np.ndarray) -> None:
+    """First-order polar projection of a (2, n) pair stack, in place; the Gram matrix of a pair is (|a|^2 + |b|^2) 1."""
+    ab *= 1.5 - 0.5 * (ab.real * ab.real + ab.imag * ab.imag).sum(axis=0)
 
 
 def _step_count(span, dt):
@@ -125,12 +144,15 @@ def _product(h, edges, steps) -> np.ndarray:
     each column past a row's last step a dt = 0 factor at that row's last
     midpoint.  Row products and row phases follow the identity in one buffer,
     scanned in blocks, and interval i is read at stop[i], one past its last
-    row.  A static ``h`` is exponentiated exactly at edges[1:] - edges[0].
+    row.  A static ``h`` is exponentiated exactly at edges[1:] - edges[0],
+    and a RotatingGenerator's product is formed by ``_rotating_product``.
     """
     edges = np.asarray(edges, dtype=float)
     if not callable(h):
         return _expm_matrix(as_coeffs(h), edges[1:] - edges[0])
     steps = np.asarray(steps, dtype=int)
+    if isinstance(h, RotatingGenerator):
+        return _rotating_product(h, edges, steps)
     dts = np.diff(edges) / np.maximum(steps, 1)
     counts = np.sort(steps[steps > 0])
     m = int(counts[(len(counts) - 1) // 2]) if len(counts) else 1
@@ -167,10 +189,39 @@ def _product(h, edges, steps) -> np.ndarray:
         ab[:, s + 1 : s + 1 + chunk] = m[..., 0]
     for s in range(0, total, block):  # each block after its carry, ab[:, s]
         ab[:, s : s + block + 1] = _scan(ab[:, s : s + block + 1])
-        # First-order polar projection; the Gram matrix of a pair is (|a|^2 + |b|^2) 1.
-        done = ab[:, s + 1 : s + block + 1]
-        done *= 1.5 - 0.5 * (done.real * done.real + done.imag * done.imag).sum(axis=0)
+        _reproject(ab[:, s + 1 : s + block + 1])
     return _pair_matrix(ab[:, stop], np.exp(-1j * np.cumsum(phi)[stop]))
+
+
+def _rotating_product(h: RotatingGenerator, edges: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``_product`` of a RotatingGenerator: the same midpoint factors, multiplied in closed form.
+
+    With R(theta) = e^{-i theta sigma3 / 2} and E = exp(-i body d), the step
+    at m_k = edges[i] + (k + 1/2) d is R(nu m_k) E R(-nu m_k); neighbours meet
+    as R(-nu d), so the n steps of interval i multiply to
+    R(nu (edges[i+1] - d/2)) F^n R(-nu (edges[i] - d/2)) with F = E R(-nu d).
+    F = cos x - i sin x n.sigma has the power F^n = cos nx - i sin nx n.sigma,
+    and the R factors only rephase its pair.  The interval products are
+    scanned once and re-projected once; the U(1) part is exp(-i c0 (t - t0)).
+    """
+    nu, span = h.rate, np.diff(edges)
+    d = span / np.maximum(steps, 1)
+    ab = _expm_pair(h.body, d)
+    a, b = ab
+    turn = np.exp(0.5j * nu * d)  # R(-nu d) = diag(turn, turn*)
+    a *= turn
+    b *= turn.conj()  # (a, b) is now F = E R(-nu d)
+    sin_x = np.sqrt(a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+    nx = steps * np.arctan2(sin_x, a.real)
+    ratio = np.sin(nx) / np.maximum(sin_x, _TINY)  # sin nx / sin x; at sin x = 0 it multiplies zeros
+    a.real = np.cos(nx)
+    a.imag *= ratio
+    b *= ratio  # (a, b) is now F^n
+    a *= np.exp(-0.5j * nu * span)
+    b *= np.exp(-0.5j * nu * (edges[1:] + edges[:-1] - d))
+    ab = _scan(ab)
+    _reproject(ab)
+    return _pair_matrix(ab, np.exp(-1j * h.body.c0 * (edges[1:] - edges[0])))
 
 
 def propagate(h, spec: PropagationSpec) -> Unitary2:

@@ -10,6 +10,7 @@ import cgmagnus.cli
 from cgmagnus import (
     DriveParams,
     PauliCoeffs,
+    RotatingGenerator,
     expm_pauli,
     h_bar,
     h_cr_interaction,
@@ -20,6 +21,8 @@ from cgmagnus import (
     h_interaction,
     h_lab,
     h_rw_interaction,
+    h_rwa,
+    h_rwa_plus_bs,
     min_fidelity,
 )
 from cgmagnus.cli import _MODELS, ScenarioConfig, load_config, main
@@ -39,6 +42,8 @@ from conftest import random_unitary
 DISPERSIVE = DriveParams(epsilon=4.0, omega=1.0, amplitude=0.5)
 RESONANT = DriveParams(epsilon=1.0, omega=1.0, amplitude=0.1)
 TAU = 5 * 2 * math.pi
+# A rotating body with every coefficient set, turned at a negative rate.
+ROTATING = RotatingGenerator(-2.7, PauliCoeffs(0.3, 0.4, -0.2, 0.7))
 
 # Every library generator, as a function of time only.
 GENERATORS = {
@@ -51,6 +56,7 @@ GENERATORS = {
     "h_eff2_analytic": lambda t: h_eff2_analytic(t, DISPERSIVE, TAU),
     "h_eff_order2_analytic": lambda t: h_eff_order2_analytic(t, DISPERSIVE, TAU),
     "h_eff_resonant_bar": lambda t: h_eff_resonant_bar(t, RESONANT),
+    "rotating": ROTATING,
 }
 
 
@@ -136,15 +142,68 @@ def test_trajectory_full_rows_over_several_chunks_match_chained_propagate():
 
 def test_dispersive_benchmark_trajectories_stay_unitary():
     # One polar projection per scan block keeps every interval end of the
-    # simulate benchmark grid within 1e-14 of unitary (6.7e-16 measured).
-    cfg = ScenarioConfig(epsilon=4.0, amplitude=0.5, tau_periods=5.0, models=("magnus2", "rwa"),
-                         t_max_periods=50.0, samples=500)
-    grid = cfg.grid_periods() * 2.0 * math.pi
-    dt = max_step(DISPERSIVE, cfg.steps_per_period)
-    hs = [lambda t: h_interaction(t, DISPERSIVE)]
-    hs += [_MODELS[name][0](DISPERSIVE, cfg.tau) for name in cfg.models]
-    for h in hs:
-        assert unitarity_defect(trajectory(h, grid, dt)).max() <= 1e-14
+    # simulate benchmark grids, dispersive and resonant_dense, within 1e-14
+    # of unitary (6.7e-16 measured on dispersive).
+    for cfg in (
+        ScenarioConfig(epsilon=4.0, amplitude=0.5, tau_periods=5.0, models=("magnus2", "rwa"),
+                       t_max_periods=50.0, samples=500),
+        ScenarioConfig(epsilon=1.0, amplitude=0.5, models=("rwa", "resonant_magnus"),
+                       t_max_periods=50.0, samples=5000),
+    ):
+        p = cfg.drive()
+        grid = cfg.grid_periods() * 2.0 * math.pi
+        dt = max_step(p, cfg.steps_per_period)
+        hs = [lambda t: h_interaction(t, p)]
+        hs += [_MODELS[name][0](p, cfg.tau) for name in cfg.models]
+        for h in hs:
+            assert unitarity_defect(trajectory(h, grid, dt)).max() <= 1e-14
+
+
+def _simulate_grid(epsilon, samples):
+    cfg = ScenarioConfig(epsilon=epsilon, amplitude=0.5, models=("rwa",), samples=samples)
+    return cfg.drive(), cfg.grid_periods() * 2.0 * math.pi, max_step(cfg.drive(), cfg.steps_per_period)
+
+
+def _one_long_gap():
+    # 2002 one-step gaps around one gap of 50,000 steps.
+    dt = 0.003
+    gaps = np.full(2003, 0.5 * dt)
+    gaps[1000] = 49_999.5 * dt
+    return DISPERSIVE, np.cumsum(gaps), dt
+
+
+# Grids for the closed-form product: the simulate golden grids (resonant_dense
+# at delta = 0), zero gaps, one interval past _BLOCK steps, and one long gap
+# among one-step gaps, where the stepped path's rows are one step wide.
+ROTATING_GRIDS = {
+    "dispersive": _simulate_grid(4.0, 500),
+    "resonant_dense": _simulate_grid(1.0, 5000),
+    "samples_1001": _simulate_grid(4.0, 1001),
+    "zero_gaps": (DISPERSIVE, np.array([0.0, 0.0, 0.37, 0.37, 1.0, 2.95, 2.95, 3.0, 11.2]), 0.013),
+    "past_block": (DISPERSIVE, np.array([0.0, (3 * _BLOCK + 16.5) * 0.006]), 0.006),
+    "one_long_gap": _one_long_gap(),
+}
+
+
+@pytest.mark.parametrize("body", ["rwa", "rwa_bs", "general"])
+@pytest.mark.parametrize("grid", sorted(ROTATING_GRIDS))
+def test_rotating_generator_closed_form_matches_stepped_product(grid, body):
+    # The closed form multiplies the same midpoint factors as the stepped
+    # path, which a plain lambda around the same generator takes.  A constant
+    # c0 commutes with every step, so the midpoint product is the stepped
+    # traceless product times exactly exp(-i c0 t); the stepped path's own
+    # row-by-row phase sum drifts by up to 2.5e-11 on these grids.
+    p, ts, dt = ROTATING_GRIDS[grid]
+    g = {"rwa": RotatingGenerator(p.detuning, h_rwa(p)),
+         "rwa_bs": RotatingGenerator(p.detuning, h_rwa_plus_bs(p)),
+         "general": ROTATING}[body]
+    c0 = g.body.c0
+    stepped = lambda t: g(t) - PauliCoeffs(c0, 0.0, 0.0, 0.0)
+    want = trajectory(stepped, ts, dt) * np.exp(-1j * c0 * ts)[:, None, None]
+    assert np.abs(trajectory(g, ts, dt) - want).max() <= 1e-12
+    spec = PropagationSpec(0.0, ts[-1], int(_step_count(ts[-1], dt)))
+    want = propagate(stepped, spec).matrix * np.exp(-1j * c0 * ts[-1])
+    assert np.abs(propagate(g, spec).matrix - want).max() <= 1e-12
 
 
 def test_trajectory_matches_chained_propagate():
@@ -213,11 +272,11 @@ def test_trajectory_ragged_grid_time_dependent_c0_matches_scalar_loop(small):
 
 
 def test_trajectory_empty_and_all_zero_grids():
-    h = lambda t: h_interaction(t, DISPERSIVE)
-    assert trajectory(h, [], 0.1).shape == (0, 2, 2)
-    got = trajectory(h, [0.0, 0.0, 0.0], 0.1)
-    assert got.shape == (3, 2, 2)
-    np.testing.assert_array_equal(got, np.broadcast_to(ID2, (3, 2, 2)))
+    for h in (lambda t: h_interaction(t, DISPERSIVE), ROTATING):
+        assert trajectory(h, [], 0.1).shape == (0, 2, 2)
+        got = trajectory(h, [0.0, 0.0, 0.0], 0.1)
+        assert got.shape == (3, 2, 2)
+        np.testing.assert_array_equal(got, np.broadcast_to(ID2, (3, 2, 2)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -331,6 +390,23 @@ def test_stacked_min_fidelity_matches_pairs(rng):
     assert got.shape == (40,)
     for u, v, f in zip(a, b, got):
         assert abs(f - min_fidelity(u, v)) <= 1e-12
+
+
+def test_simulate_never_evaluates_a_rotating_generator(tmp_path, monkeypatch):
+    # rwa and rwa_bs take the closed-form product; a silent fallback to the
+    # stepped path would call them on every step.  The two scalar calls at
+    # t = 0 are the config check's probes, one per model.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "epsilon = 4.0\namplitude = 0.5\ntau_periods = 5\nmodels = magnus2, rwa, rwa_bs\n"
+        "t_max_periods = 5\nsamples = 50\nsteps_per_period = 200\n",
+        encoding="utf-8",
+    )
+    calls = []
+    call = RotatingGenerator.__call__
+    monkeypatch.setattr(RotatingGenerator, "__call__", lambda self, t: calls.append(t) or call(self, t))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+    assert calls == [0.0, 0.0]
 
 
 def test_simulate_evaluates_exact_generator_once_per_step(tmp_path, monkeypatch):
