@@ -27,6 +27,7 @@ from .magnus import (
     h_eff2_analytic,
     h_eff_order2_analytic,
     h_eff_window,
+    order2_generator,
     sinc,
 )
 from .model import (
@@ -39,6 +40,7 @@ from .model import (
     h_lab,
     h_rw_interaction,
     h_rwa,
+    interaction_generator,
     u_x,
 )
 from .pauli import (

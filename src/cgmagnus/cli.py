@@ -15,6 +15,7 @@ deterministic: identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,8 +26,8 @@ import numpy as np
 
 from .errors import AmplitudePole, ConfigError, DegenerateSplittingWarning, MagnusError, NotResonant
 from .fidelity import min_fidelity
-from .magnus import h_eff_order2_analytic
-from .model import DriveParams, RotatingGenerator, h_interaction, h_rwa
+from .magnus import order2_generator
+from .model import DriveParams, RotatingGenerator, h_rwa, interaction_generator
 from .propagation import (
     DEFAULT_STEPS_PER_PERIOD,
     default_floquet_steps,
@@ -49,11 +50,12 @@ __all__ = ["ScenarioConfig", "load_config", "main"]
 
 # Every effective model: name -> (builder (p, tau) -> generator, needs tau_periods).
 # A generator is a callable of t or a static PauliCoeffs, which is propagated by
-# exact exponentials.  The RWA rows are RotatingGenerators: static bodies turned
-# at the detuning, whose midpoint products propagation forms in closed form.
+# exact exponentials.  The other rows are RotatingGenerators turned at the
+# detuning: propagation forms the midpoint products of the RWA rows' static
+# bodies in closed form and steps magnus2's body in its rotating frame.
 # Where a model does not apply, its library function raises.
 _MODELS = {
-    "magnus2": (lambda p, tau: lambda t: h_eff_order2_analytic(t, p, tau), True),
+    "magnus2": (order2_generator, True),
     "rwa": (lambda p, tau: RotatingGenerator(p.detuning, h_rwa(p)), False),
     "rwa_bs": (lambda p, tau: RotatingGenerator(p.detuning, h_rwa_plus_bs(p)), False),
     "resonant_magnus": (lambda p, tau: h_eff_resonant_interaction(p), False),
@@ -217,11 +219,10 @@ def _run_simulation(cfg: ScenarioConfig):
     p = cfg.drive()
     periods = cfg.grid_periods()
     grid = periods * _TWO_PI
-    dt = max_step(p, cfg.steps_per_period)
-    u_exact = trajectory(lambda t: h_interaction(t, p), grid, dt)
-    u_models = [trajectory(_MODELS[name][0](p, cfg.tau), grid, dt) for name in cfg.models]
+    hs = (interaction_generator(p), *(_MODELS[name][0](p, cfg.tau) for name in cfg.models))
+    u = trajectory(hs, grid, max_step(p, cfg.steps_per_period))
     header = ["t_over_period"] + [f"{name}_fidelity" for name in cfg.models]
-    return header, np.column_stack([periods, *min_fidelity(u_exact, np.stack(u_models))])
+    return header, np.column_stack([periods, *min_fidelity(u[0], u[1:])])
 
 
 # The CSV's "%.12e" fields, 19 bytes each with the separator, built as arrays.
@@ -470,7 +471,9 @@ def _read_external_csv(path: str):
     return ts, fs
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import, and reused by every later one.
     # The override flags are absent from the namespace unless given, so each
     # one present is a config key to override.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -505,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, {k: v for k, v in vars(args).items() if k in _PARSERS})
         return args.run(cfg, args)

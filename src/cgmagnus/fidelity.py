@@ -84,7 +84,7 @@ def fidelity_series(
     if frames is not None and params is None:
         raise ValueError("params are required when frames are given")
     ts = np.asarray(t_grid, dtype=float)
-    u, u_eff = (trajectory(h, ts, dt) for h in (h_exact, h_eff))
+    u, u_eff = trajectory((h_exact, h_eff), ts, dt)
     if frames is not None:
         u_eff = frame_transform(u_eff, frames[1], frames[0], ts, params)
     return min_fidelity(u, u_eff)

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DetuningSingularity
-from .model import DriveParams, _rotating
+from .model import DriveParams, RotatingGenerator, _rotating
 from .pauli import PauliCoeffs, as_coeffs, compose, decompose
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "h_eff1_analytic",
     "h_eff2_analytic",
     "h_eff_order2_analytic",
+    "order2_generator",
 ]
 
 # Below this |delta|*tau the second-order closed form is singular; the
@@ -159,6 +160,33 @@ def h_eff_window(
     return decompose(m) * (1.0 / w.tau)
 
 
+def _first_order_amplitudes(p: DriveParams, tau: float) -> tuple[float, float]:
+    # (W/2) sinc(nu tau / 2) of the rotating terms at delta and at epsilon + omega.
+    _check_tau(tau)
+    half = 0.5 * p.amplitude
+    return half * sinc(0.5 * p.detuning * tau), half * sinc(0.5 * (p.epsilon + p.omega) * tau)
+
+
+def _second_order_terms(p: DriveParams, tau: float) -> tuple[float, float, complex]:
+    # (static, scale, bracket): the sigma3 coefficient is
+    # static + scale Re{e^{2 i omega t} bracket}, with scale = -W^2/4.
+    _check_tau(tau)
+    d = p.detuning
+    b = p.epsilon + p.omega
+    if abs(d) * tau < _MIN_DETUNING_TAU:
+        raise DetuningSingularity(
+            f"|delta|*tau = {abs(d) * tau:.3e} < 1e-6; use the resonant forms"
+        )
+    w2_4 = 0.25 * p.amplitude**2
+    static = -w2_4 * ((1.0 - sinc(d * tau)) / d + (1.0 - sinc(b * tau)) / b)
+    bracket = (
+        sinc(p.omega * tau) * (1.0 / d + 1.0 / b)
+        - np.exp(-0.5j * b * tau) * sinc(0.5 * d * tau) / b
+        - np.exp(0.5j * d * tau) * sinc(0.5 * b * tau) / d
+    )
+    return static, -w2_4, bracket
+
+
 def h_eff1_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
     """First-order window average of the interaction-picture Hamiltonian.
 
@@ -168,14 +196,8 @@ def h_eff1_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
     Each oscillating component is scaled by the sinc of half its phase swing
     across the window; as tau -> 0 this reduces to h_interaction(t).
     """
-    _check_tau(tau)
-    d = p.detuning
-    b = p.epsilon + p.omega
-    half = 0.5 * p.amplitude
-    return (
-        _rotating(t, d, half * sinc(0.5 * d * tau))
-        + _rotating(t, b, half * sinc(0.5 * b * tau))
-    )
+    a_d, a_b = _first_order_amplitudes(p, tau)
+    return _rotating(t, p.detuning, a_d) + _rotating(t, p.epsilon + p.omega, a_b)
 
 
 def h_eff2_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
@@ -200,26 +222,38 @@ def h_eff2_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
     DetuningSingularity
         If |delta| * tau < 1e-6; the resonant pathway must be used instead.
     """
-    _check_tau(tau)
-    d = p.detuning
-    b = p.epsilon + p.omega
-    if abs(d) * tau < _MIN_DETUNING_TAU:
-        raise DetuningSingularity(
-            f"|delta|*tau = {abs(d) * tau:.3e} < 1e-6; use the resonant forms"
-        )
-    w2_4 = 0.25 * p.amplitude**2
-    static = -w2_4 * ((1.0 - sinc(d * tau)) / d + (1.0 - sinc(b * tau)) / b)
-    bracket = (
-        sinc(p.omega * tau) * (1.0 / d + 1.0 / b)
-        - np.exp(-0.5j * b * tau) * sinc(0.5 * d * tau) / b
-        - np.exp(0.5j * d * tau) * sinc(0.5 * b * tau) / d
-    )
+    static, scale, bracket = _second_order_terms(p, tau)
     # Re{e^{2 i omega t} bracket} as one real cosine, shifted by the bracket's phase.
     shift = math.atan2(bracket.imag, bracket.real)
-    oscillating = -w2_4 * abs(bracket) * np.cos(2.0 * p.omega * t + shift)
+    oscillating = scale * abs(bracket) * np.cos(2.0 * p.omega * t + shift)
     return PauliCoeffs(0.0, 0.0, 0.0, static + oscillating)
 
 
 def h_eff_order2_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
     """Full second-order analytic effective Hamiltonian (orders 1 + 2)."""
     return h_eff1_analytic(t, p, tau) + h_eff2_analytic(t, p, tau)
+
+
+def order2_generator(p: DriveParams, tau: float) -> RotatingGenerator:
+    """``h_eff_order2_analytic`` as a RotatingGenerator, turned at the detuning.
+
+    In the frame rotating at delta the first-order term at epsilon + omega
+    turns at 2 omega, the sigma3 term is unchanged, and its cosine splits by
+    angle addition, so with c, s = cos, sin(2 omega t) the body is
+
+        (A_delta + A_b c) sigma1 + A_b s sigma2 + (static + k_r c - k_i s) sigma3
+
+    with A the sinc-scaled amplitudes and k = -(W^2/4) times the bracket of
+    ``h_eff2_analytic``.  Raises as that function does, here at construction.
+    """
+    a_d, a_b = _first_order_amplitudes(p, tau)
+    static, scale, bracket = _second_order_terms(p, tau)
+    k_r, k_i = scale * bracket.real, scale * bracket.imag
+    two_omega = 2.0 * p.omega
+
+    def body(t):
+        phase = two_omega * t
+        c, s = np.cos(phase), np.sin(phase)
+        return PauliCoeffs(0.0, a_d + a_b * c, a_b * s, static + k_r * c - k_i * s)
+
+    return RotatingGenerator(p.detuning, body)

@@ -12,26 +12,29 @@ interaction picture the corotating part oscillates at the detuning
 ``delta = epsilon - omega`` and the counterrotating part at ``epsilon + omega``.
 Each is a rotating term A (cos(nu t) sigma1 + sin(nu t) sigma2), written once
 as ``_rotating``, and ``DriveParams.is_resonant`` alone decides delta = 0.
-A static operator turned about sigma3 at a constant rate is a
-``RotatingGenerator``, whose midpoint product ``propagation`` forms in
-closed form.
+An operator turned about sigma3 at a constant rate is a
+``RotatingGenerator``: ``propagation`` forms its midpoint product in closed
+form when its body is static, and steps its body in the rotating frame when
+the body depends on time.  ``interaction_generator`` writes the drive that way.
 This module imports only ``pauli``; the Hamiltonians that contain a level
 shift live in ``shifts``.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .pauli import PauliCoeffs, _expm_matrix
+from .pauli import PauliCoeffs, _expm_matrix, as_coeffs
 
 __all__ = [
     "DriveParams",
     "Frame",
     "RotatingGenerator",
+    "interaction_generator",
     "h_lab",
     "h_interaction",
     "h_rw_interaction",
@@ -95,21 +98,23 @@ class Frame(Enum):
 
 @dataclass(frozen=True)
 class RotatingGenerator:
-    """h(t) = R(rate t) body R(rate t)^dagger, R(theta) = e^{-i theta sigma3 / 2}.
+    """h(t) = R(rate t) body(t) R(rate t)^dagger, R(theta) = e^{-i theta sigma3 / 2}.
 
-    The static ``body`` turned about sigma3 by rate * t: (c1 + i c2) gains the
-    phase e^{i rate t}, and c0, c3 stay.  Called on times, it is a generator
-    like any other; ``propagation`` forms the midpoint rule's product of this
-    kind in closed form, without calling it.
+    The ``body`` turned about sigma3 by rate * t: (c1 + i c2) gains the phase
+    e^{i rate t}, and c0, c3 stay.  The body is a static PauliCoeffs or a
+    generator of its own.  Called on times, this is a generator like any
+    other; ``propagation`` never calls it, but forms the midpoint rule's
+    product of a static body in closed form and steps a generator body in the
+    frame rotating at ``rate``.
     """
 
     rate: float
-    body: PauliCoeffs
+    body: PauliCoeffs | Callable[[np.ndarray], PauliCoeffs]
 
     def __call__(self, t) -> PauliCoeffs:
+        b = as_coeffs(self.body(t)) if callable(self.body) else self.body
         phase = self.rate * t
         cos, sin = np.cos(phase), np.sin(phase)
-        b = self.body
         return PauliCoeffs(b.c0, b.c1 * cos - b.c2 * sin, b.c1 * sin + b.c2 * cos, b.c3)
 
 
@@ -131,15 +136,26 @@ def _rotating(t: float, nu: float, amplitude: float) -> PauliCoeffs:
     return PauliCoeffs(0.0, amplitude * np.cos(phase), amplitude * np.sin(phase), 0.0)
 
 
+def interaction_generator(p: DriveParams) -> RotatingGenerator:
+    """``h_interaction`` as a RotatingGenerator: the lab drive W cos(omega t) sigma1 turned at epsilon.
+
+    Called at t it is ``h_interaction(t, p)`` to the bit; propagation steps
+    only its body.
+    """
+    return RotatingGenerator(p.epsilon, lambda t: PauliCoeffs(0.0, p.amplitude * np.cos(p.omega * t), 0.0, 0.0))
+
+
 def h_interaction(t: float, p: DriveParams) -> PauliCoeffs:
     """Drive Hamiltonian conjugated into the interaction picture.
 
     Equals e^{i H0 t} (H(t) - H0) e^{-i H0 t}: the drive W cos(omega t) sigma1
-    seen from the frame rotating at epsilon.  This one rotating term is the sum
-    of the corotating and counterrotating parts, since
+    seen from the frame rotating at epsilon, which is
+    ``interaction_generator(p)`` called at t.  This one rotating term is the
+    sum of the corotating and counterrotating parts, since
     cos(delta t) + cos((epsilon + omega) t) = 2 cos(epsilon t) cos(omega t)
     (likewise for sin); the tests pin both forms against the direct matrix
-    conjugation.
+    conjugation.  It is written as one ``_rotating`` term, not through the
+    generator, whose zero sigma2 body would add two products per call.
     """
     return _rotating(t, p.epsilon, p.amplitude * np.cos(p.omega * t))
 

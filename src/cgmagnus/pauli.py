@@ -165,17 +165,19 @@ def _checked_unitary(u) -> np.ndarray:
     return m
 
 
-def _expm_pair(p: PauliCoeffs, dt) -> np.ndarray:
+def _expm_pair(p: PauliCoeffs, dt, out=None) -> np.ndarray:
     """Cayley-Klein pair (a, b) of exp(-i (compose(p) - c0) dt), as a (2, ...) complex stack.
 
     exp(-i r dt n.sigma) = [[a, b], [-b*, a*]] with a = cos(r dt) - i s c3 and
     b = -s c2 - i s c1, s = sin(r dt) / r; at r = 0, s multiplies only zero
-    coefficients.  The U(1) factor exp(-i c0 dt) is left to the caller.
+    coefficients.  The U(1) factor exp(-i c0 dt) is left to the caller.  The
+    pair is written into ``out`` when given, so a caller filling a larger
+    stack allocates no second one.
     """
     r = np.sqrt(p.c1 * p.c1 + p.c2 * p.c2 + p.c3 * p.c3)
     x = r * dt
     f = -np.sin(x) / np.maximum(r, _TINY)  # -s
-    ab = np.empty((2,) + np.shape(f), dtype=complex)
+    ab = np.empty((2,) + np.shape(f), dtype=complex) if out is None else out
     ab.real[0] = np.cos(x)
     ab.imag[0] = f * p.c3
     ab.real[1] = f * p.c2
@@ -213,8 +215,14 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     past the first.
     """
     out = x[:1] * y
-    out[0] -= x[1] * y[1].conj()
-    out[1] += x[1] * y[0].conj()
+    # One conjugate, and the product written over it in one buffer of out's
+    # shape, so no third temporary is alive.  x[1] stays the left operand:
+    # with fused multiply-adds numpy's complex product is not bitwise
+    # commutative, and this keeps every entry as (x[0] y - x[1] y'*) rounds.
+    cross = np.conjugate(y[::-1], out=np.empty_like(out))  # (b2*, a2*)
+    np.multiply(x[1], cross, out=cross)  # (b1 b2*, b1 a2*)
+    out[0] -= cross[0]
+    out[1] += cross[1]
     return out
 
 

@@ -10,31 +10,50 @@ A generator is a function of an ndarray of times.  It returns PauliCoeffs
 whose fields broadcast to that shape, or a Hermitian stack of shape
 ``ts.shape + (2, 2)``; a constant result is broadcast.  A static generator (a
 PauliCoeffs or Hermitian matrix) is exponentiated exactly.  A
-``RotatingGenerator``, a static body turned about sigma3 at a constant rate,
-is never called: ``_rotating_product`` gives the midpoint rule's own product
-for it in closed form, the same numbers up to rounding, at a cost that does
-not depend on the step count.  The step policy lives here: ``max_step`` per
-shortest period and ``_step_count`` per span.
+``RotatingGenerator`` h(t) = R(nu t) B(t) R(nu t)^dagger, with
+R(theta) = e^{-i theta sigma3 / 2}, is never called.  With a static body B,
+``_rotating_product`` gives the midpoint rule's own product in closed form,
+the same numbers up to rounding, at a cost that does not depend on the step
+count.  Otherwise its body is stepped in the frame rotating at nu (below); a
+plain callable is the case nu = 0, B = h.  The step policy lives here:
+``max_step`` per shortest period and ``_step_count`` per span.
 
-Every propagator comes from ``_product``.  For any other callable it reduces
-inside intervals and scans across them.  Each interval's steps fill rows of
-width w: the lower median m of the non-empty step counts, split into
-ceil(m / _BLOCK) equal rows, so w is at most _BLOCK.  A chunk of _BLOCK // w rows is a dense
-(rows, w) lattice of steps, the same for every chunk: a column past its row's
-last step is a dt = 0 step, the identity, at the row's last midpoint, so the
-generator sees only times inside the grid.  Padding at most triples the
-work, as half the intervals fill a row.  The midpoint times are broadcast
-from the row starts and the column offsets, and each chunk calls the
-generator and the exponential once.  A pairwise tree multiplies each row into
-one buffer that starts with the identity; its blocks of up to _BLOCK rows, a
-whole number of chunks, are scanned once after their carry and re-projected
-once.  Interval i is read at stop[i], one past its last row.
+Every propagator comes from ``_product``, which takes a sequence of
+generators; all that step share one lattice, one generator call per chunk
+each, one tree and one scan.  It reduces inside intervals and scans across
+them.  Each interval's steps fill rows of width w: the lower median m of the
+non-empty step counts, split into ceil(m / _BLOCK) equal rows, so w is at most
+_BLOCK.  A chunk of _BLOCK // w rows is a dense (rows, w) lattice of steps,
+the same for every chunk: a column past its row's last step is a dt = 0 step,
+the identity, at the row's last midpoint, so the generator sees only times
+inside the grid.  Padding at most triples the work, as half the intervals fill
+a row.  The midpoint times are broadcast from the row starts and the column
+offsets, and each chunk calls each body and the exponential once.  A pairwise
+tree multiplies along the rows: per chunk down to a width of at most _NARROW,
+and the narrow rest once per scan block of up to _BLOCK rows, a whole number
+of chunks, where each row's product lands in one buffer that starts with the
+identity.  Each block is scanned once after its carry and re-projected once.
+Interval i is read at stop[i], one past its last row.
+
+In the rotating frame the midpoint step at m_k = s + (k + 1/2) d of a row
+starting at s is R(nu m_k) E_k R(-nu m_k) with E_k = exp(-i B(m_k) d), and
+neighbours meet as R(-nu d).  So a row of w columns, the dt = 0 pads
+included, multiplies to
+
+    R(nu (s + (w + 1/2) d)) P R(-nu (s + d/2)),   P = prod_k R(-nu d) E_k,
+
+and each factor of P is E_k's pair times the one row phase e^{i nu d / 2}.
+On P's pair (a, b) the outer factors are a e^{-i nu w d / 2} and
+b e^{-i nu (2 s + (w + 1) d) / 2}.  These are the lab-frame factors
+regrouped, so the numbers match stepping h itself up to rounding, while the
+generator calls evaluate only the slow body.
 
 Each step factor is exp(-i c0 dt) times an SU(2) matrix [[a, b], [-b*, a*]],
 so the primitive works on (2, ...) stacks of the Cayley-Klein pairs (a, b),
 multiplied by pauli._mul, and sums the U(1) phase c0 dt per row apart, in
-real arithmetic.  Only the interval ends are assembled into (n, 2, 2)
-matrices, each multiplied by its accumulated phase once.
+real arithmetic, with a compensated running sum across rows.  Only the
+interval ends are assembled into (n, 2, 2) matrices, each multiplied by its
+accumulated phase once.
 """
 from __future__ import annotations
 
@@ -82,6 +101,11 @@ DEFAULT_STEPS_PER_PERIOD = 200
 # (12.8 against 13.9 ms; 2-vCPU host, numpy 2.4).
 _BLOCK = 4096
 
+# The row width at which a chunk's pairwise tree stops; the narrower levels,
+# tiny arrays per chunk, run once per scan block.
+_NARROW = 16
+
+
 @dataclass(frozen=True)
 class PropagationSpec:
     """Uniform-step propagation over [t0, t1] with the midpoint-exponential method."""
@@ -103,7 +127,7 @@ class PropagationSpec:
 
 
 def _scan(m: np.ndarray) -> np.ndarray:
-    """Running products m[..., k] @ ... @ m[..., 0] of a (2, n) pair stack: Blelloch's work-efficient scan."""
+    """Running products m[..., k] @ ... @ m[..., 0] along the last axis of a (2, ..., n) pair stack: Blelloch's work-efficient scan."""
     n = m.shape[-1]
     if n <= 1:
         return m
@@ -115,7 +139,7 @@ def _scan(m: np.ndarray) -> np.ndarray:
 
 
 def _reproject(ab: np.ndarray) -> None:
-    """First-order polar projection of a (2, n) pair stack, in place; the Gram matrix of a pair is (|a|^2 + |b|^2) 1."""
+    """First-order polar projection of a (2, ...) pair stack, in place; the Gram matrix of a pair is (|a|^2 + |b|^2) 1."""
     ab *= 1.5 - 0.5 * (ab.real * ab.real + ab.imag * ab.imag).sum(axis=0)
 
 
@@ -135,24 +159,58 @@ def max_step(p: DriveParams, steps_per_period: int) -> float:
     return 2.0 * math.pi / (p.epsilon + p.omega) / steps_per_period
 
 
-def _product(h, edges, steps) -> np.ndarray:
-    """U(edges[i + 1], edges[0]) for every interval i, shape (len(steps), 2, 2).
+def _tree(m: np.ndarray, width: int) -> np.ndarray:
+    """Pairwise products along the last axis of a pair stack, later steps to the left, until it is at most ``width`` wide."""
+    while m.shape[-1] > width:
+        pairs = _mul(m[..., 1::2], m[..., :-1:2])
+        if m.shape[-1] % 2:
+            pairs[..., -1:] = _mul(m[..., -1:], pairs[..., -1:])
+        m = pairs
+    return m
+
+
+def _cumsum(x: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis, compensated: the rounding error of
+    each partial sum (Knuth's TwoSum) is summed apart and added back."""
+    s = np.cumsum(x, axis=-1)
+    prev, new = s[..., :-1], s[..., 1:]
+    back = new - prev
+    err = (prev - (new - back)) + (x[..., 1:] - back)
+    s[..., 1:] += np.cumsum(err, axis=-1)
+    return s
+
+
+def _product(hs, edges, steps) -> np.ndarray:
+    """U(edges[i + 1], edges[0]) of each generator in ``hs`` for every interval i, shape (len(hs), len(steps), 2, 2).
 
     Interval i is spanned by steps[i] midpoint factors exp(-i h(t_k) dt_i),
     later steps to the left; an interval with no steps repeats the previous
-    result.  The steps form the (rows, w) lattice of the module docstring,
-    each column past a row's last step a dt = 0 factor at that row's last
-    midpoint.  Row products and row phases follow the identity in one buffer,
-    scanned in blocks, and interval i is read at stop[i], one past its last
-    row.  A static ``h`` is exponentiated exactly at edges[1:] - edges[0],
-    and a RotatingGenerator's product is formed by ``_rotating_product``.
+    result.  A static ``h`` is exponentiated exactly at edges[1:] - edges[0],
+    a RotatingGenerator with a static body is formed by ``_rotating_product``,
+    and every other callable is stepped by ``_stepped_product``, all of them
+    on one lattice.
     """
     edges = np.asarray(edges, dtype=float)
-    if not callable(h):
-        return _expm_matrix(as_coeffs(h), edges[1:] - edges[0])
     steps = np.asarray(steps, dtype=int)
-    if isinstance(h, RotatingGenerator):
-        return _rotating_product(h, edges, steps)
+    out = np.empty((len(hs), len(steps), 2, 2), dtype=complex)
+    stepped = []
+    for g, h in enumerate(hs):
+        if not callable(h):
+            out[g] = _expm_matrix(as_coeffs(h), edges[1:] - edges[0])
+        elif isinstance(h, RotatingGenerator) and not callable(h.body):
+            out[g] = _rotating_product(h, edges, steps)
+        else:
+            stepped.append(g)
+    if stepped:
+        out[stepped] = _stepped_product([hs[g] for g in stepped], edges, steps)
+    return out
+
+
+def _stepped_product(hs, edges, steps) -> np.ndarray:
+    """``_product`` of callables, each stepped in its own rotating frame on the (rows, w) lattice of the module docstring."""
+    rates = np.array([[h.rate if isinstance(h, RotatingGenerator) else 0.0] for h in hs])  # (G, 1)
+    bodies = [h.body if isinstance(h, RotatingGenerator) else h for h in hs]
+    rotating = bool(rates.any())
     dts = np.diff(edges) / np.maximum(steps, 1)
     counts = np.sort(steps[steps > 0])
     m = int(counts[(len(counts) - 1) // 2]) if len(counts) else 1
@@ -168,33 +226,44 @@ def _product(h, edges, steps) -> np.ndarray:
     col = np.arange(w)
     chunk = _BLOCK // w  # rows per generator call
     block = _BLOCK - _BLOCK % chunk  # rows per scan: a whole number of chunks
-    ab = np.empty((2, total + 1), dtype=complex)  # the identity, then each row's product
-    ab[:, 0] = 1.0, 0.0
-    phi = np.zeros(total + 1)  # 0, then the sum of c0 dt over each row
-    for s in range(0, total, chunk):
-        ik, nk = i[s : s + chunk, None], n[s : s + chunk, None]
-        t = (first[s : s + chunk, None] + 0.5) + np.minimum(col, nk - 1)  # midpoints in steps; pads repeat the last
-        t *= dts[ik]
-        t += edges[ik]
-        dt = np.where(col < nk, dts[ik], 0.0)  # a pad is the identity factor
-        c = as_coeffs(h(t))
-        if np.any(c.c0):
-            phi[s + 1 : s + 1 + chunk] = (c.c0 * dt).sum(-1)
-        m = _expm_pair(c, dt)
-        while m.shape[-1] > 1:  # pairwise tree along the rows, later steps to the left
-            pairs = _mul(m[..., 1::2], m[..., :-1:2])
-            if m.shape[-1] % 2:
-                pairs[..., -1:] = _mul(m[..., -1:], pairs[..., -1:])
-            m = pairs
-        ab[:, s + 1 : s + 1 + chunk] = m[..., 0]
-    for s in range(0, total, block):  # each block after its carry, ab[:, s]
-        ab[:, s : s + block + 1] = _scan(ab[:, s : s + block + 1])
-        _reproject(ab[:, s + 1 : s + block + 1])
-    return _pair_matrix(ab[:, stop], np.exp(-1j * np.cumsum(phi)[stop]))
+    narrow = w  # the width each chunk's tree stops at
+    while narrow > _NARROW:
+        narrow //= 2
+    ab = np.empty((2, len(hs), total + 1), dtype=complex)  # the identity, then each row's product
+    ab[:, :, 0] = [[1.0], [0.0]]
+    phi = np.zeros((len(hs), total + 1))  # 0, then the sum of c0 dt over each row
+    lattice = np.empty((2, len(hs), min(block, total), narrow), dtype=complex)
+    for s0 in range(0, total, block):
+        end = min(s0 + block, total)
+        for s in range(s0, end, chunk):
+            ik, nk = i[s : s + chunk, None], n[s : s + chunk, None]
+            t = (first[s : s + chunk, None] + 0.5) + np.minimum(col, nk - 1)  # midpoints in steps; pads repeat the last
+            t *= dts[ik]
+            t += edges[ik]
+            dt = np.where(col < nk, dts[ik], 0.0)  # a pad is the identity factor
+            m = np.empty((2, len(hs)) + t.shape, dtype=complex)
+            for g, body in enumerate(bodies):
+                c = as_coeffs(body(t))
+                if np.any(c.c0):
+                    phi[g, s + 1 : s + 1 + chunk] = (c.c0 * dt).sum(-1)
+                _expm_pair(c, dt, out=m[:, g])
+            if rotating:  # R(-nu d) E_k: each pair times e^{i nu d / 2}
+                m *= np.exp(0.5j * rates[:, None] * dts[ik])
+            lattice[:, :, s - s0 : s - s0 + len(t)] = _tree(m, _NARROW)
+        done = slice(s0 + 1, end + 1)
+        ab[:, :, done] = _tree(lattice[:, :, : end - s0], 1)[..., 0]
+        if rotating:  # each row product into the lab frame
+            ir = i[s0:end]
+            d = dts[ir]
+            ab[0, :, done] *= np.exp(-0.5j * rates * (w * d))
+            ab[1, :, done] *= np.exp(-0.5j * rates * (2.0 * (first[s0:end] * d + edges[ir]) + (w + 1) * d))
+        ab[:, :, s0 : end + 1] = _scan(ab[:, :, s0 : end + 1])
+        _reproject(ab[:, :, done])
+    return _pair_matrix(ab[:, :, stop], np.exp(-1j * _cumsum(phi)[:, stop]))
 
 
 def _rotating_product(h: RotatingGenerator, edges: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """``_product`` of a RotatingGenerator: the same midpoint factors, multiplied in closed form.
+    """``_product`` of a RotatingGenerator with a static body: the same midpoint factors, multiplied in closed form.
 
     With R(theta) = e^{-i theta sigma3 / 2} and E = exp(-i body d), the step
     at m_k = edges[i] + (k + 1/2) d is R(nu m_k) E R(-nu m_k); neighbours meet
@@ -231,7 +300,7 @@ def propagate(h, spec: PropagationSpec) -> Unitary2:
     left.  Each factor is exactly unitary; the global error is O(dt^2).  A
     static ``h`` is exponentiated exactly.
     """
-    return Unitary2(_product(h, (spec.t0, spec.t1), (spec.steps,))[0])
+    return Unitary2(_product((h,), (spec.t0, spec.t1), (spec.steps,))[0, 0])
 
 
 def trajectory(h, ts, dt: float) -> np.ndarray:
@@ -239,7 +308,9 @@ def trajectory(h, ts, dt: float) -> np.ndarray:
 
     A callable ``h`` advances between grid times in _step_count(gap, dt)
     midpoint steps (at least one); a static PauliCoeffs / Hermitian matrix is
-    exponentiated exactly at each t.
+    exponentiated exactly at each t.  A tuple of generators gives a
+    (len(h), len(ts), 2, 2) stack, one trajectory each, stepped on one
+    shared lattice.
     """
     ts = np.asarray(ts, dtype=float)
     gaps = np.diff(ts, prepend=0.0)
@@ -251,7 +322,8 @@ def trajectory(h, ts, dt: float) -> np.ndarray:
         steps = np.maximum(_step_count(gaps, dt), gaps > 0)
     if not np.all(steps < 2.0**63):
         raise ValueError(f"dt = {dt} needs 2**63 or more steps for a gap of {gaps.max()}")
-    return _product(h, np.concatenate(([0.0], ts)), steps)
+    u = _product(h if isinstance(h, tuple) else (h,), np.concatenate(([0.0], ts)), steps)
+    return u if isinstance(h, tuple) else u[0]
 
 
 def _to_lab_factor(frame: Frame, t, p: DriveParams) -> np.ndarray:

@@ -14,10 +14,20 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from cgmagnus import DriveParams, NotUnitary, cli, h_rwa_plus_bs, validate_regime
+from cgmagnus import (
+    DriveParams,
+    NotUnitary,
+    cli,
+    fidelity_series,
+    h_eff_order2_analytic,
+    h_interaction,
+    h_rwa_plus_bs,
+    validate_regime,
+)
 from cgmagnus.cli import (
     _CSV_ROWS, _MAX_AMPLITUDE, _MAX_STEPS, _MODELS, _PARSERS, _format_e12, _write_csv, load_config, main,
 )
+from cgmagnus.propagation import max_step
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -709,6 +719,27 @@ def test_resonant_simulation_models(tmp_path):
     assert (late[:, 1] >= late[:, 2]).mean() > 0.9
 
 
+def test_simulate_magnus2_column_matches_the_plain_generators(tmp_path):
+    # simulate steps the bodies of exact and magnus2 in their rotating frames;
+    # stepping the two library functions themselves in the interaction
+    # picture gives the same column.  Off-integer epsilon and tau keep every
+    # sinc of magnus2 alive.
+    cfg = write_cfg(tmp_path, epsilon="2.5", amplitude="0.3", tau_periods="2.7", models="magnus2",
+                    t_max_periods="50", samples="500", steps_per_period="200")
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    loaded = load_config(str(cfg))
+    p, tau = loaded.drive(), loaded.tau
+    want = fidelity_series(
+        lambda t: h_interaction(t, p),
+        lambda t: h_eff_order2_analytic(t, p, tau),
+        loaded.grid_periods() * 2.0 * math.pi,
+        max_step(p, loaded.steps_per_period),
+    )
+    assert np.abs(rows[:, 1] - want).max() <= 1e-10
+
+
 GOLDEN_DIR = Path(__file__).parents[1] / "perfbench" / "golden"
 
 
@@ -858,3 +889,45 @@ def test_main_never_raises_at_the_boundary(command, lines, out):
     if command[0] == "regime" and rc == 0:
         assert len(_strict_json_lines(stdout.getvalue())) == 1
     event(f"{command[0]} exits {rc}")
+
+
+# --- One parser per process ---
+
+
+def _run_captured(capsys, argv, out):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+
+def test_one_parser_serves_every_command_like_a_fresh_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out.csv"
+    base = ["--config", str(cfg), "--out", str(out)]
+    runs = [["simulate", *base], ["regime", "--kappa", "3", *base], ["shifts", *base],
+            ["simulate", "--steps-per-period", "150", *base], ["simulate", *base]]
+    cli._parser.cache_clear()
+    shared = []
+    for argv in runs:
+        out.unlink(missing_ok=True)
+        shared.append(_run_captured(capsys, argv, out))
+    assert cli._parser.cache_info().misses == 1
+    for argv, got in zip(runs, shared):
+        cli._parser.cache_clear()
+        out.unlink(missing_ok=True)
+        assert _run_captured(capsys, argv, out) == got
+    assert shared[0][0] == 0 and shared[0][3] is not None
+    assert shared[3][3] != shared[0][3] == shared[4][3]  # the override reached only its own run
+
+
+@pytest.mark.parametrize("command", [[], ["simulate"], ["regime"], ["shifts"], ["compare-external"]])
+def test_help_from_the_shared_parser_is_the_fresh_help(capsys, command):
+    texts = []
+    for fresh in (True, False, False):
+        if fresh:
+            cli._parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] == texts[2] and texts[0].startswith("usage: cgmagnus")

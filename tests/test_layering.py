@@ -72,3 +72,13 @@ def test_cli_boundary_has_one_reader_one_writer_one_emitter():
     assert opens == ["_read_lines", "_write_csv"]
     dumps = _callers(cli, lambda f: isinstance(f, ast.Attribute) and f.attr in {"dump", "dumps"})
     assert dumps == ["_print_json"]
+
+
+def test_simulate_steps_every_model_in_one_trajectory_call():
+    # exact and every model share one step lattice: a second call would step
+    # the grid again.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    run = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_run_simulation")
+    calls = [node for node in ast.walk(run) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "trajectory"]
+    assert len(calls) == 1

@@ -17,7 +17,9 @@ from cgmagnus import (
     h_eff1_analytic,
     h_eff2_analytic,
     h_eff_window,
+    h_eff_order2_analytic,
     h_interaction,
+    order2_generator,
     propagate,
     expm_pauli,
     sinc,
@@ -302,3 +304,22 @@ def test_order2_window_average_matches_analytic_forms():
         analytic = compose(h_eff1_analytic(t, FIG, tau) + h_eff2_analytic(t, FIG, tau))
         rel = np.abs(viaquad - analytic).max() / np.abs(analytic).max()
         assert rel < 1e-6
+
+
+@pytest.mark.parametrize("epsilon,tau_periods", [(2.5, 2.7), (6.3, 1.4), (1.3, 4.1)])
+def test_order2_generator_is_the_analytic_form(epsilon, tau_periods):
+    # At integer epsilon and tau every sinc of the body vanishes, so these
+    # drives pin each oscillating term the simulate goldens cannot see.
+    p = DriveParams(epsilon=epsilon, omega=1.0, amplitude=0.3)
+    tau = tau_periods * 2.0 * math.pi
+    t = np.linspace(0.0, 50 * 2.0 * math.pi, 20_001)
+    got, want = order2_generator(p, tau)(t), h_eff_order2_analytic(t, p, tau)
+    for field in ("c0", "c1", "c2", "c3"):
+        assert np.abs(getattr(got, field) - getattr(want, field)).max() <= 1e-12
+
+
+def test_order2_generator_refuses_at_construction():
+    with pytest.raises(DetuningSingularity):
+        order2_generator(DriveParams(epsilon=1.0, omega=1.0, amplitude=0.3), 2.0)
+    with pytest.raises(ValueError, match="tau"):
+        order2_generator(FIG, 0.0)

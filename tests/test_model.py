@@ -14,9 +14,10 @@ from cgmagnus import (
     h_rw_interaction,
     h_rwa,
     h_rwa_plus_bs,
+    interaction_generator,
     u_x,
 )
-from cgmagnus.model import h0_coeffs
+from cgmagnus.model import _rotating, h0_coeffs
 from cgmagnus.pauli import SIGMA1, SIGMA2, _expm_matrix
 
 FIG_DISPERSIVE = DriveParams(epsilon=4.0, omega=1.0, amplitude=0.5)
@@ -190,3 +191,15 @@ def test_h_rwa_zero_drive():
     p = DriveParams(epsilon=1.0, omega=1.0, amplitude=0.0)
     assert h_rwa(p) == PauliCoeffs(0, 0, 0, 0)
     assert h_rwa_plus_bs(p) == PauliCoeffs(0, 0, 0, 0)
+
+
+def test_h_interaction_is_the_rotating_generator_bit_for_bit(rng):
+    # The drive's lab body W cos(omega t) sigma1 turned at epsilon is the one
+    # rotating term A (cos epsilon t sigma1 + sin epsilon t sigma2) it was.
+    t = rng.uniform(-300.0, 300.0, 1000)
+    g = interaction_generator(FIG_DISPERSIVE)
+    assert g.rate == FIG_DISPERSIVE.epsilon
+    want = _rotating(t, 4.0, 0.5 * np.cos(t))
+    for got in (g(t), h_interaction(t, FIG_DISPERSIVE)):
+        for field in ("c0", "c1", "c2", "c3"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))

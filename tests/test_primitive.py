@@ -23,6 +23,7 @@ from cgmagnus import (
     h_rw_interaction,
     h_rwa,
     h_rwa_plus_bs,
+    interaction_generator,
     min_fidelity,
 )
 from cgmagnus.cli import _MODELS, ScenarioConfig, load_config, main
@@ -206,6 +207,53 @@ def test_rotating_generator_closed_form_matches_stepped_product(grid, body):
     assert np.abs(propagate(g, spec).matrix - want).max() <= 1e-12
 
 
+def test_stepped_phase_does_not_drift_over_many_rows():
+    # A constant c0 commutes with every step, so U = exp(-i c0 t) exactly.
+    # The one-step gaps make every row one step wide; a plain running sum of
+    # the 52,002 row phases drifted by 2.5e-11 here.
+    _, ts, dt = _one_long_gap()
+    got = trajectory(lambda t: PauliCoeffs(0.3, 0.0, 0.0, 0.0), ts, dt)
+    assert np.abs(got[:, 0, 0] - np.exp(-0.3j * ts)).max() <= 1e-13
+    assert np.abs(got[:, 0, 1]).max() == 0.0
+
+
+def _slow_body(t):
+    # c0 != 0 and every Pauli coefficient time dependent.
+    return PauliCoeffs(0.3 + 0.1 * np.cos(1.3 * t), 0.4 * np.cos(0.7 * t), -0.2 + 0.1 * np.sin(t), 0.7 * np.cos(0.2 * t))
+
+
+def _random_grid():
+    rng = np.random.default_rng(23)
+    dt = 0.011
+    return DISPERSIVE, np.cumsum(rng.choice([0.0, 0.4, 3.7, 41.2, 160.5], size=300) * dt), dt
+
+
+@pytest.mark.parametrize("grid", ["dispersive", "random", "zero_gaps", "one_long_gap"])
+def test_rotating_stepped_path_matches_plain_stepping(grid):
+    # Stepping the body in its rotating frame regroups the very factors that
+    # stepping the whole generator multiplies (1.7e-13 apart measured).
+    _, ts, dt = _random_grid() if grid == "random" else ROTATING_GRIDS[grid]
+    g = RotatingGenerator(-2.7, _slow_body)
+    want = trajectory(lambda t: g(t), ts, dt)
+    assert np.abs(trajectory(g, ts, dt) - want).max() <= 1e-12
+
+
+def test_mixed_tuple_matches_separate_trajectories():
+    # One lattice for every stepped generator; the static and closed-form
+    # kinds keep their own routes.
+    _, ts, dt = _random_grid()
+    hs = (
+        PauliCoeffs(0.2, 0.5, -0.1, 0.3),
+        ROTATING,
+        lambda t: h_interaction(t, DISPERSIVE),
+        RotatingGenerator(-2.7, _slow_body),
+    )
+    got = trajectory(hs, ts, dt)
+    assert got.shape == (4, len(ts), 2, 2)
+    for h, u in zip(hs, got):
+        assert np.abs(u - trajectory(h, ts, dt)).max() <= 1e-15
+
+
 def test_trajectory_matches_chained_propagate():
     h = lambda t: h_interaction(t, DISPERSIVE)
     ts = [0.0, 0.0, 0.37, 0.37, 1.0, 2.95, 2.95, 3.0, 11.2]
@@ -334,6 +382,17 @@ def test_mul_matches_matmul(n, seed):
         assert np.abs(got - want).max() <= 1e-15
 
 
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_mul_rounds_as_the_entrywise_formula(n, seed):
+    # (a1 a2 - b1 b2*, a1 b2 + b1 a2*) to the bit, broadcasting either side.
+    re, im = np.random.default_rng(seed).normal(size=(2, 2, 2, n))
+    x, y = re + 1j * im
+    for u, v in ((x, y), (x[..., :1], y), (x, y[..., :1])):
+        want = np.stack([u[0] * v[0] - u[1] * v[1].conj(), u[0] * v[1] + u[1] * v[0].conj()])
+        assert np.array_equal(_mul(u, v).view(float), want.view(float))
+
+
 def test_trajectory_static_generator_is_exact():
     p = PauliCoeffs(0.2, 0.5, -0.1, 0.3)
     ts = np.linspace(0.0, 40.0, 9)
@@ -393,9 +452,10 @@ def test_stacked_min_fidelity_matches_pairs(rng):
 
 
 def test_simulate_never_evaluates_a_rotating_generator(tmp_path, monkeypatch):
-    # rwa and rwa_bs take the closed-form product; a silent fallback to the
-    # stepped path would call them on every step.  The two scalar calls at
-    # t = 0 are the config check's probes, one per model.
+    # rwa and rwa_bs take the closed-form product, and exact and magnus2 step
+    # their bodies only; a silent fallback to stepping a whole generator would
+    # call it on every step.  The three scalar calls at t = 0 are the config
+    # check's probes, one per model.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "epsilon = 4.0\namplitude = 0.5\ntau_periods = 5\nmodels = magnus2, rwa, rwa_bs\n"
@@ -406,7 +466,7 @@ def test_simulate_never_evaluates_a_rotating_generator(tmp_path, monkeypatch):
     call = RotatingGenerator.__call__
     monkeypatch.setattr(RotatingGenerator, "__call__", lambda self, t: calls.append(t) or call(self, t))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
-    assert calls == [0.0, 0.0]
+    assert calls == [0.0, 0.0, 0.0]
 
 
 def test_simulate_evaluates_exact_generator_once_per_step(tmp_path, monkeypatch):
@@ -417,9 +477,12 @@ def test_simulate_evaluates_exact_generator_once_per_step(tmp_path, monkeypatch)
         encoding="utf-8",
     )
     calls = []
-    monkeypatch.setattr(
-        cgmagnus.cli, "h_interaction", lambda t, p: calls.append(t) or h_interaction(t, p)
-    )
+
+    def counted(p):  # the exact generator, its body's evaluations recorded
+        g = interaction_generator(p)
+        return RotatingGenerator(g.rate, lambda t: calls.append(t) or g.body(t))
+
+    monkeypatch.setattr(cgmagnus.cli, "interaction_generator", counted)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
     loaded = load_config(str(cfg))
     grid = loaded.grid_periods() * 2.0 * math.pi
