@@ -49,11 +49,8 @@ from .shifts import (
 __all__ = ["ScenarioConfig", "load_config", "main"]
 
 # Every effective model: name -> (builder (p, tau) -> generator, needs tau_periods).
-# A generator is a callable of t or a static PauliCoeffs, which is propagated by
-# exact exponentials.  The other rows are RotatingGenerators turned at the
-# detuning: propagation forms the midpoint products of the RWA rows' static
-# bodies in closed form and steps magnus2's body in its rotating frame.
-# Where a model does not apply, its library function raises.
+# The ``propagation`` docstring states how each kind of generator is propagated.
+# Where a model does not apply, its builder raises.
 _MODELS = {
     "magnus2": (order2_generator, True),
     "rwa": (lambda p, tau: RotatingGenerator(p.detuning, h_rwa(p)), False),
@@ -207,9 +204,7 @@ def _validate(cfg: ScenarioConfig) -> None:
         if needs_tau and cfg.tau is None:
             raise ConfigError(f"tau_periods: required by the {name} model")
         try:
-            h = build(cfg.drive(), cfg.tau)
-            if callable(h):  # e.g. h_eff2_analytic checks |delta|*tau only when called
-                h(0.0)
+            build(cfg.drive(), cfg.tau)
         except MagnusError as exc:
             raise ConfigError(f"models: {name}: {type(exc).__name__}: {exc}") from exc
 

@@ -167,9 +167,8 @@ def _first_order_amplitudes(p: DriveParams, tau: float) -> tuple[float, float]:
     return half * sinc(0.5 * p.detuning * tau), half * sinc(0.5 * (p.epsilon + p.omega) * tau)
 
 
-def _second_order_terms(p: DriveParams, tau: float) -> tuple[float, float, complex]:
-    # (static, scale, bracket): the sigma3 coefficient is
-    # static + scale Re{e^{2 i omega t} bracket}, with scale = -W^2/4.
+def _second_order_terms(p: DriveParams, tau: float) -> tuple[float, float]:
+    # (static, k): the sigma3 coefficient is static + k cos(2 omega t).
     _check_tau(tau)
     d = p.detuning
     b = p.epsilon + p.omega
@@ -181,10 +180,10 @@ def _second_order_terms(p: DriveParams, tau: float) -> tuple[float, float, compl
     static = -w2_4 * ((1.0 - sinc(d * tau)) / d + (1.0 - sinc(b * tau)) / b)
     bracket = (
         sinc(p.omega * tau) * (1.0 / d + 1.0 / b)
-        - np.exp(-0.5j * b * tau) * sinc(0.5 * d * tau) / b
-        - np.exp(0.5j * d * tau) * sinc(0.5 * b * tau) / d
+        - math.cos(0.5 * b * tau) * sinc(0.5 * d * tau) / b
+        - math.cos(0.5 * d * tau) * sinc(0.5 * b * tau) / d
     )
-    return static, -w2_4, bracket
+    return static, -w2_4 * bracket
 
 
 def h_eff1_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
@@ -206,9 +205,16 @@ def h_eff2_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
     With delta the detuning and b = epsilon + omega, the sigma3 coefficient is
 
         -(W^2/4) [ (1 - sinc(delta tau)) / delta + (1 - sinc(b tau)) / b ]
-        -(W^2/4) Re{ e^{2 i omega t} [ sinc(omega tau) (1/delta + 1/b)
-                     - e^{-i b tau / 2} sinc(delta tau / 2) / b
-                     - e^{+i delta tau / 2} sinc(b tau / 2) / delta ] }
+        -(W^2/4) [ sinc(omega tau) (1/delta + 1/b)
+                   - cos(b tau / 2) sinc(delta tau / 2) / b
+                   - cos(delta tau / 2) sinc(b tau / 2) / delta ] cos(2 omega t)
+
+    The ordered integral gives the bracket as Re{e^{2 i omega t} B} with the
+    exponentials e^{-i b tau / 2} and e^{i delta tau / 2} in place of the two
+    cosines, but B is real:
+    Im B = sin(b tau / 2) sinc(delta tau / 2) / b
+    - sin(delta tau / 2) sinc(b tau / 2) / delta, and both terms equal
+    2 sin(b tau / 2) sin(delta tau / 2) / (b delta tau).
 
     The static part reduces to -(S_rw + S_bs)/2 once both sinc factors are
     negligible.  Every sign and prefactor here is pinned by the nested
@@ -222,11 +228,8 @@ def h_eff2_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
     DetuningSingularity
         If |delta| * tau < 1e-6; the resonant pathway must be used instead.
     """
-    static, scale, bracket = _second_order_terms(p, tau)
-    # Re{e^{2 i omega t} bracket} as one real cosine, shifted by the bracket's phase.
-    shift = math.atan2(bracket.imag, bracket.real)
-    oscillating = scale * abs(bracket) * np.cos(2.0 * p.omega * t + shift)
-    return PauliCoeffs(0.0, 0.0, 0.0, static + oscillating)
+    static, k = _second_order_terms(p, tau)
+    return PauliCoeffs(0.0, 0.0, 0.0, static + k * np.cos(2.0 * p.omega * t))
 
 
 def h_eff_order2_analytic(t: float, p: DriveParams, tau: float) -> PauliCoeffs:
@@ -238,22 +241,21 @@ def order2_generator(p: DriveParams, tau: float) -> RotatingGenerator:
     """``h_eff_order2_analytic`` as a RotatingGenerator, turned at the detuning.
 
     In the frame rotating at delta the first-order term at epsilon + omega
-    turns at 2 omega, the sigma3 term is unchanged, and its cosine splits by
-    angle addition, so with c, s = cos, sin(2 omega t) the body is
+    turns at 2 omega and the sigma3 term is unchanged, so with
+    c, s = cos, sin(2 omega t) the body is
 
-        (A_delta + A_b c) sigma1 + A_b s sigma2 + (static + k_r c - k_i s) sigma3
+        (A_delta + A_b c) sigma1 + A_b s sigma2 + (static + k c) sigma3
 
     with A the sinc-scaled amplitudes and k = -(W^2/4) times the bracket of
     ``h_eff2_analytic``.  Raises as that function does, here at construction.
     """
     a_d, a_b = _first_order_amplitudes(p, tau)
-    static, scale, bracket = _second_order_terms(p, tau)
-    k_r, k_i = scale * bracket.real, scale * bracket.imag
+    static, k = _second_order_terms(p, tau)
     two_omega = 2.0 * p.omega
 
     def body(t):
         phase = two_omega * t
-        c, s = np.cos(phase), np.sin(phase)
-        return PauliCoeffs(0.0, a_d + a_b * c, a_b * s, static + k_r * c - k_i * s)
+        c = np.cos(phase)
+        return PauliCoeffs(0.0, a_d + a_b * c, a_b * np.sin(phase), static + k * c)
 
     return RotatingGenerator(p.detuning, body)

@@ -13,9 +13,7 @@ interaction picture the corotating part oscillates at the detuning
 Each is a rotating term A (cos(nu t) sigma1 + sin(nu t) sigma2), written once
 as ``_rotating``, and ``DriveParams.is_resonant`` alone decides delta = 0.
 An operator turned about sigma3 at a constant rate is a
-``RotatingGenerator``: ``propagation`` forms its midpoint product in closed
-form when its body is static, and steps its body in the rotating frame when
-the body depends on time.  ``interaction_generator`` writes the drive that way.
+``RotatingGenerator``; ``interaction_generator`` writes the drive that way.
 This module imports only ``pauli``; the Hamiltonians that contain a level
 shift live in ``shifts``.
 """
@@ -103,9 +101,7 @@ class RotatingGenerator:
     The ``body`` turned about sigma3 by rate * t: (c1 + i c2) gains the phase
     e^{i rate t}, and c0, c3 stay.  The body is a static PauliCoeffs or a
     generator of its own.  Called on times, this is a generator like any
-    other; ``propagation`` never calls it, but forms the midpoint rule's
-    product of a static body in closed form and steps a generator body in the
-    frame rotating at ``rate``.
+    other; the ``propagation`` docstring says how it is propagated.
     """
 
     rate: float

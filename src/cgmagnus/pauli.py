@@ -185,14 +185,14 @@ def _expm_pair(p: PauliCoeffs, dt, out=None) -> np.ndarray:
     return ab
 
 
-def _pair_matrix(ab: np.ndarray, phase) -> np.ndarray:
-    """phase * [[a, b], [-b*, a*]] for a (2, ...) stack of pairs (a, b), as a (..., 2, 2) stack."""
+def _pair_matrix(ab: np.ndarray, phase, out=None) -> np.ndarray:
+    """phase * [[a, b], [-b*, a*]] for a (2, ...) stack of pairs (a, b), as a (..., 2, 2) stack, written into ``out`` when given."""
     a, b = ab
     # A 0-d phase keeps scalar pairs on the ufunc's complex loop, as for stacks:
     # numpy's scalar complex product can round differently in the last bit.
     e = np.asarray(phase)
     ea = a * e
-    m = np.empty(np.shape(ea) + (2, 2), dtype=complex)
+    m = np.empty(np.shape(ea) + (2, 2), dtype=complex) if out is None else out
     m[..., 0, 0] = ea
     m[..., 0, 1] = b * e
     m[..., 1, 0] = -b.conj() * e

@@ -8,32 +8,29 @@ checks in the tests guarding against systematic bias.
 
 A generator is a function of an ndarray of times.  It returns PauliCoeffs
 whose fields broadcast to that shape, or a Hermitian stack of shape
-``ts.shape + (2, 2)``; a constant result is broadcast.  A static generator (a
-PauliCoeffs or Hermitian matrix) is exponentiated exactly.  A
-``RotatingGenerator`` h(t) = R(nu t) B(t) R(nu t)^dagger, with
-R(theta) = e^{-i theta sigma3 / 2}, is never called.  With a static body B,
-``_rotating_product`` gives the midpoint rule's own product in closed form,
-the same numbers up to rounding, at a cost that does not depend on the step
-count.  Otherwise its body is stepped in the frame rotating at nu (below); a
-plain callable is the case nu = 0, B = h.  The step policy lives here:
-``max_step`` per shortest period and ``_step_count`` per span.
+``ts.shape + (2, 2)``; a constant result is broadcast.  ``_product`` treats
+each kind of generator as stated here and nowhere else.  A static generator
+(a PauliCoeffs or Hermitian matrix) is exponentiated exactly.  Every callable
+is a pair (nu, B) on one shared lattice: a ``RotatingGenerator``
+h(t) = R(nu t) B(t) R(nu t)^dagger, with R(theta) = e^{-i theta sigma3 / 2},
+is never called, and a plain callable is the case nu = 0, B = h.  The step
+policy lives here: ``max_step`` per shortest period and ``_step_count`` per
+span.
 
-Every propagator comes from ``_product``, which takes a sequence of
-generators; all that step share one lattice, one generator call per chunk
-each, one tree and one scan.  It reduces inside intervals and scans across
-them.  Each interval's steps fill rows of width w: the lower median m of the
-non-empty step counts, split into ceil(m / _BLOCK) equal rows, so w is at most
+``_product`` reduces inside intervals and scans across them.  Each
+interval's steps fill rows of width w: the lower median m of the non-empty
+step counts, split into ceil(m / _BLOCK) equal rows, so w is at most
 _BLOCK.  A chunk of _BLOCK // w rows is a dense (rows, w) lattice of steps,
 the same for every chunk: a column past its row's last step is a dt = 0 step,
 the identity, at the row's last midpoint, so the generator sees only times
 inside the grid.  Padding at most triples the work, as half the intervals fill
 a row.  The midpoint times are broadcast from the row starts and the column
-offsets, and each chunk calls each body and the exponential once.  A pairwise
-tree multiplies along the rows: per chunk down to a width of at most _NARROW,
-and the narrow rest once per scan block of up to _BLOCK rows, a whole number
-of chunks, where each row's product lands in one buffer that starts with the
-identity.  Each block is scanned once after its carry and re-projected once.
-Interval i is read at stop[i], one past its last row.
+offsets, and each chunk calls each time-dependent body and the exponential
+once.  A pairwise tree multiplies along the rows: per chunk down to a width of
+at most _NARROW, and the narrow rest once per scan block of up to _BLOCK rows,
+a whole number of chunks, where each row's product lands in one buffer that
+starts with the identity.  Each block is scanned once after its carry and
+re-projected once.  Interval i is read at stop[i], one past its last row.
 
 In the rotating frame the midpoint step at m_k = s + (k + 1/2) d of a row
 starting at s is R(nu m_k) E_k R(-nu m_k) with E_k = exp(-i B(m_k) d), and
@@ -46,7 +43,12 @@ and each factor of P is E_k's pair times the one row phase e^{i nu d / 2}.
 On P's pair (a, b) the outer factors are a e^{-i nu w d / 2} and
 b e^{-i nu (2 s + (w + 1) d) / 2}.  These are the lab-frame factors
 regrouped, so the numbers match stepping h itself up to rounding, while the
-generator calls evaluate only the slow body.
+generator calls evaluate only the slow body.  A static body B is not stepped:
+a row of n real steps has P = R(-nu d)^(w - n) F^n with F = R(-nu d) E.
+F = cos x - i sin x n.sigma with the pair (a, b) has the power
+a_n = cos nx + i Im(a) sin nx / sin x, b_n = b sin nx / sin x, the pads
+multiply it by e^{i nu (w - n) d / 2}, and its phase is c0 n d: one closed
+form per row in place of w steps.
 
 Each step factor is exp(-i c0 dt) times an SU(2) matrix [[a, b], [-b*, a*]],
 so the primitive works on (2, ...) stacks of the Cayley-Klein pairs (a, b),
@@ -127,20 +129,29 @@ class PropagationSpec:
 
 
 def _scan(m: np.ndarray) -> np.ndarray:
-    """Running products m[..., k] @ ... @ m[..., 0] along the last axis of a (2, ..., n) pair stack: Blelloch's work-efficient scan."""
+    """Running products m[..., k] @ ... @ m[..., 0] along the last axis of a (2, ..., n) pair stack, in place: Blelloch's work-efficient scan."""
     n = m.shape[-1]
-    if n <= 1:
-        return m
-    odd = _scan(_mul(m[..., 1::2], m[..., 0 : n - 1 : 2]))
-    out = m.copy()
-    out[..., 1::2] = odd
-    out[..., 2::2] = _mul(m[..., 2::2], odd[..., : (n - 1) // 2])
-    return out
+    if n > 1:
+        odd = _scan(_mul(m[..., 1::2], m[..., 0 : n - 1 : 2]))
+        m[..., 2::2] = _mul(m[..., 2::2], odd[..., : (n - 1) // 2])
+        m[..., 1::2] = odd
+    return m
 
 
 def _reproject(ab: np.ndarray) -> None:
     """First-order polar projection of a (2, ...) pair stack, in place; the Gram matrix of a pair is (|a|^2 + |b|^2) 1."""
     ab *= 1.5 - 0.5 * (ab.real * ab.real + ab.imag * ab.imag).sum(axis=0)
+
+
+def _power(ab: np.ndarray, n) -> None:
+    """n-th powers of a (2, ...) pair stack in place, from each pair's rotation angle x (module docstring)."""
+    a, b = ab
+    sin_x = np.sqrt(a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+    nx = n * np.arctan2(sin_x, a.real)
+    ratio = np.sin(nx) / np.maximum(sin_x, _TINY)  # sin nx / sin x; at sin x = 0 it multiplies zeros
+    a.real = np.cos(nx)
+    a.imag *= ratio
+    b *= ratio
 
 
 def _step_count(span, dt):
@@ -185,32 +196,29 @@ def _product(hs, edges, steps) -> np.ndarray:
 
     Interval i is spanned by steps[i] midpoint factors exp(-i h(t_k) dt_i),
     later steps to the left; an interval with no steps repeats the previous
-    result.  A static ``h`` is exponentiated exactly at edges[1:] - edges[0],
-    a RotatingGenerator with a static body is formed by ``_rotating_product``,
-    and every other callable is stepped by ``_stepped_product``, all of them
-    on one lattice.
+    result.  A static ``h`` is exponentiated exactly at edges[1:] - edges[0];
+    every callable goes to ``_lattice_product`` as its (rate, body) pair.
     """
     edges = np.asarray(edges, dtype=float)
     steps = np.asarray(steps, dtype=int)
     out = np.empty((len(hs), len(steps), 2, 2), dtype=complex)
-    stepped = []
+    frames = {}
     for g, h in enumerate(hs):
-        if not callable(h):
-            out[g] = _expm_matrix(as_coeffs(h), edges[1:] - edges[0])
-        elif isinstance(h, RotatingGenerator) and not callable(h.body):
-            out[g] = _rotating_product(h, edges, steps)
+        if callable(h):
+            frames[g] = (h.rate, h.body) if isinstance(h, RotatingGenerator) else (0.0, h)
         else:
-            stepped.append(g)
-    if stepped:
-        out[stepped] = _stepped_product([hs[g] for g in stepped], edges, steps)
+            out[g] = _expm_matrix(as_coeffs(h), edges[1:] - edges[0])
+    if frames:
+        _lattice_product(frames, edges, steps, out)
     return out
 
 
-def _stepped_product(hs, edges, steps) -> np.ndarray:
-    """``_product`` of callables, each stepped in its own rotating frame on the (rows, w) lattice of the module docstring."""
-    rates = np.array([[h.rate if isinstance(h, RotatingGenerator) else 0.0] for h in hs])  # (G, 1)
-    bodies = [h.body if isinstance(h, RotatingGenerator) else h for h in hs]
-    rotating = bool(rates.any())
+def _lattice_product(frames, edges, steps, out) -> None:
+    """``_product`` of the generators frames[g] = (rate, body) into out[g], in rows of the (rows, w) lattice of the module docstring."""
+    rates, bodies = zip(*frames.values())
+    stepped = [j for j, body in enumerate(bodies) if callable(body)]
+    static = [j for j, body in enumerate(bodies) if not callable(body)]
+    turns = np.array([rates[j] for j in stepped])[:, None, None]  # (G stepped, 1, 1)
     dts = np.diff(edges) / np.maximum(steps, 1)
     counts = np.sort(steps[steps > 0])
     m = int(counts[(len(counts) - 1) // 2]) if len(counts) else 1
@@ -229,68 +237,50 @@ def _stepped_product(hs, edges, steps) -> np.ndarray:
     narrow = w  # the width each chunk's tree stops at
     while narrow > _NARROW:
         narrow //= 2
-    ab = np.empty((2, len(hs), total + 1), dtype=complex)  # the identity, then each row's product
+    ab = np.empty((2, len(frames), total + 1), dtype=complex)  # the identity, then each row's product
     ab[:, :, 0] = [[1.0], [0.0]]
-    phi = np.zeros((len(hs), total + 1))  # 0, then the sum of c0 dt over each row
-    lattice = np.empty((2, len(hs), min(block, total), narrow), dtype=complex)
+    phi = np.zeros((len(frames), total + 1))  # 0, then the sum of c0 dt over each row
+    lattice = np.empty((2, len(stepped), min(block, total), narrow), dtype=complex)
     for s0 in range(0, total, block):
         end = min(s0 + block, total)
-        for s in range(s0, end, chunk):
+        for s in range(s0, end, chunk) if stepped else ():
             ik, nk = i[s : s + chunk, None], n[s : s + chunk, None]
             t = (first[s : s + chunk, None] + 0.5) + np.minimum(col, nk - 1)  # midpoints in steps; pads repeat the last
             t *= dts[ik]
             t += edges[ik]
             dt = np.where(col < nk, dts[ik], 0.0)  # a pad is the identity factor
-            m = np.empty((2, len(hs)) + t.shape, dtype=complex)
-            for g, body in enumerate(bodies):
-                c = as_coeffs(body(t))
+            m = np.empty((2, len(stepped)) + t.shape, dtype=complex)
+            for k, j in enumerate(stepped):
+                c = as_coeffs(bodies[j](t))
                 if np.any(c.c0):
-                    phi[g, s + 1 : s + 1 + chunk] = (c.c0 * dt).sum(-1)
-                _expm_pair(c, dt, out=m[:, g])
-            if rotating:  # R(-nu d) E_k: each pair times e^{i nu d / 2}
-                m *= np.exp(0.5j * rates[:, None] * dts[ik])
+                    phi[j, s + 1 : s + 1 + chunk] = (c.c0 * dt).sum(-1)
+                _expm_pair(c, dt, out=m[:, k])
+            if turns.any():  # R(-nu d) E_k: each pair times e^{i nu d / 2}
+                m *= np.exp(0.5j * turns * dts[ik])
             lattice[:, :, s - s0 : s - s0 + len(t)] = _tree(m, _NARROW)
         done = slice(s0 + 1, end + 1)
-        ab[:, :, done] = _tree(lattice[:, :, : end - s0], 1)[..., 0]
-        if rotating:  # each row product into the lab frame
-            ir = i[s0:end]
-            d = dts[ir]
-            ab[0, :, done] *= np.exp(-0.5j * rates * (w * d))
-            ab[1, :, done] *= np.exp(-0.5j * rates * (2.0 * (first[s0:end] * d + edges[ir]) + (w + 1) * d))
-        ab[:, :, s0 : end + 1] = _scan(ab[:, :, s0 : end + 1])
+        if stepped:
+            ab[:, stepped, done] = _tree(lattice[:, :, : end - s0], 1)[..., 0]
+        ir, nr = i[s0:end], n[s0:end]
+        d = dts[ir]
+        for j in static:  # R(-nu d)^(w - n) (R(-nu d) E)^n in closed form
+            nu, body = rates[j], bodies[j]
+            p = _expm_pair(body, d, out=ab[:, j, done])
+            if nu:
+                p *= np.exp(0.5j * nu * d)
+            _power(p, nr)
+            if nu:
+                p *= np.exp(0.5j * nu * (w - nr) * d)
+            if body.c0:
+                phi[j, done] = body.c0 * nr * d
+        for j in np.flatnonzero(rates):  # each row product into the lab frame
+            ab[0, j, done] *= np.exp(-0.5j * rates[j] * (w * d))
+            ab[1, j, done] *= np.exp(-0.5j * rates[j] * (2.0 * (first[s0:end] * d + edges[ir]) + (w + 1) * d))
+        _scan(ab[:, :, s0 : end + 1])
         _reproject(ab[:, :, done])
-    return _pair_matrix(ab[:, :, stop], np.exp(-1j * _cumsum(phi)[:, stop]))
-
-
-def _rotating_product(h: RotatingGenerator, edges: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """``_product`` of a RotatingGenerator with a static body: the same midpoint factors, multiplied in closed form.
-
-    With R(theta) = e^{-i theta sigma3 / 2} and E = exp(-i body d), the step
-    at m_k = edges[i] + (k + 1/2) d is R(nu m_k) E R(-nu m_k); neighbours meet
-    as R(-nu d), so the n steps of interval i multiply to
-    R(nu (edges[i+1] - d/2)) F^n R(-nu (edges[i] - d/2)) with F = E R(-nu d).
-    F = cos x - i sin x n.sigma has the power F^n = cos nx - i sin nx n.sigma,
-    and the R factors only rephase its pair.  The interval products are
-    scanned once and re-projected once; the U(1) part is exp(-i c0 (t - t0)).
-    """
-    nu, span = h.rate, np.diff(edges)
-    d = span / np.maximum(steps, 1)
-    ab = _expm_pair(h.body, d)
-    a, b = ab
-    turn = np.exp(0.5j * nu * d)  # R(-nu d) = diag(turn, turn*)
-    a *= turn
-    b *= turn.conj()  # (a, b) is now F = E R(-nu d)
-    sin_x = np.sqrt(a.imag * a.imag + b.real * b.real + b.imag * b.imag)
-    nx = steps * np.arctan2(sin_x, a.real)
-    ratio = np.sin(nx) / np.maximum(sin_x, _TINY)  # sin nx / sin x; at sin x = 0 it multiplies zeros
-    a.real = np.cos(nx)
-    a.imag *= ratio
-    b *= ratio  # (a, b) is now F^n
-    a *= np.exp(-0.5j * nu * span)
-    b *= np.exp(-0.5j * nu * (edges[1:] + edges[:-1] - d))
-    ab = _scan(ab)
-    _reproject(ab)
-    return _pair_matrix(ab, np.exp(-1j * h.body.c0 * (edges[1:] - edges[0])))
+    phase = np.exp(-1j * _cumsum(phi)[:, stop])
+    for j, g in enumerate(frames):
+        _pair_matrix(ab[:, j, stop], phase[j], out=out[g])
 
 
 def propagate(h, spec: PropagationSpec) -> Unitary2:

@@ -82,3 +82,12 @@ def test_simulate_steps_every_model_in_one_trajectory_call():
     calls = [node for node in ast.walk(run) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "trajectory"]
     assert len(calls) == 1
+
+
+def test_propagation_scans_reprojects_and_assembles_in_one_row_pipeline():
+    # Every callable generator is a row of one lattice: a new propagation
+    # method adds rows to that pipeline rather than a second scan of its own.
+    path = PACKAGE / "propagation.py"
+    for name in ("_scan", "_reproject", "_pair_matrix"):
+        callers = _callers(path, lambda f: isinstance(f, ast.Name) and f.id == name)
+        assert [owner for owner in callers if owner != name] == ["_lattice_product"], name

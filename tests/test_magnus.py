@@ -24,6 +24,7 @@ from cgmagnus import (
     expm_pauli,
     sinc,
 )
+from cgmagnus.magnus import _second_order_terms
 from cgmagnus.pauli import SIGMA1, SIGMA2, SIGMA3
 from cgmagnus.propagation import PropagationSpec
 
@@ -283,6 +284,25 @@ def test_h_eff2_detuning_singularity():
     p = DriveParams(epsilon=1.0, omega=1.0, amplitude=0.5)
     with pytest.raises(DetuningSingularity):
         h_eff2_analytic(0.0, p, 10.0)
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 0.9, 1.3, 2.5, 4.0, 6.3, 11.7])
+@pytest.mark.parametrize("tau_periods", [0.05, 0.4, 1.4, 2.7, 4.1, 5.0, 13.3])
+def test_second_order_bracket_is_the_real_part_of_the_complex_form(epsilon, tau_periods):
+    # The ordered integral's bracket, with its two complex exponentials: its
+    # imaginary part cancels identically, so k is -W^2/4 times its real part.
+    p = DriveParams(epsilon=epsilon, omega=1.0, amplitude=0.7)
+    tau = 2.0 * math.pi * tau_periods
+    d, b = p.detuning, p.epsilon + p.omega
+    bracket = (
+        sinc(tau) * (1.0 / d + 1.0 / b)
+        - np.exp(-0.5j * b * tau) * sinc(0.5 * d * tau) / b
+        - np.exp(0.5j * d * tau) * sinc(0.5 * b * tau) / d
+    )
+    scale = 1.0 / abs(d) + 1.0 / b
+    assert abs(bracket.imag) <= 1e-15 * scale
+    _, k = _second_order_terms(p, tau)
+    assert abs(k + 0.25 * p.amplitude**2 * bracket.real) <= 1e-15 * scale
 
 
 def test_h_eff2_matches_quadrature_pointwise():
