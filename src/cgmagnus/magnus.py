@@ -132,7 +132,7 @@ def f1_numeric(h, w: Window, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray
     _, wt, c = _sample(h, q, w.t0, w.t1)
     # Exactly rounded sums: over long windows an oscillating H cancels to a
     # small fraction of its terms.
-    return compose(PauliCoeffs(*(math.fsum(wt * ci) for ci in c)))
+    return compose(PauliCoeffs(*(math.fsum((wt * ci).tolist()) for ci in c)))
 
 
 def f2_numeric(h, w: Window, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:

@@ -131,12 +131,15 @@ def unitarity_defect(m: np.ndarray) -> float | np.ndarray:
     """
     m = np.asarray(m, dtype=complex)
     p, q, r, s = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    diag = np.maximum(
-        np.abs(np.abs(p) ** 2 + np.abs(r) ** 2 - 1.0),
-        np.abs(np.abs(q) ** 2 + np.abs(s) ** 2 - 1.0),
-    )
-    gram = np.maximum(diag, np.abs(p.conj() * q + r.conj() * s))
-    return np.maximum(gram, np.abs(np.abs(p * s - q * r) - 1.0))
+    # An overflowing or infinite entry gives an inf or NaN defect, which the
+    # caller rejects as NotUnitary; numpy's warnings on the way say nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = np.maximum(
+            np.abs(np.abs(p) ** 2 + np.abs(r) ** 2 - 1.0),
+            np.abs(np.abs(q) ** 2 + np.abs(s) ** 2 - 1.0),
+        )
+        gram = np.maximum(diag, np.abs(p.conj() * q + r.conj() * s))
+        return np.maximum(gram, np.abs(np.abs(p * s - q * r) - 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,10 +162,37 @@ class Unitary2:
 def _checked_unitary(u) -> np.ndarray:
     """The matrix of a Unitary2, 2x2 array or (..., 2, 2) stack; NotUnitary if a defect exceeds UNITARITY_TOL."""
     m = u.matrix if isinstance(u, Unitary2) else np.asarray(u, dtype=complex)
+    if m.shape == (2, 2) and _clearly_unitary(m):
+        return m
     defect = np.max(unitarity_defect(m), initial=0.0)
     if not defect <= UNITARITY_TOL:
         raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL}")
     return m
+
+
+def _clearly_unitary(m: np.ndarray) -> bool:
+    """True when every part of the :func:`unitarity_defect` of one 2x2 matrix is within half of UNITARITY_TOL.
+
+    A screen at the cost of its arithmetic on eight Python floats; its
+    rounding (~1e-16) is far inside the half-tolerance margin, so it accepts
+    no matrix that :func:`unitarity_defect` would reject.  Anything else,
+    NaN and inf included, fails it: only ``*``, ``+``, ``-`` and chained
+    comparisons are used, since ``max`` drops a NaN that is not its first
+    argument and ``**`` or ``abs`` of a complex raise OverflowError on a
+    large entry.
+    """
+    pr, pi, qr, qi, rr, ri, sr, si = m.ravel().view(float).tolist()
+    h = 0.5 * UNITARITY_TOL
+    g_re = pr * qr + pi * qi + rr * sr + ri * si  # p* q + r* s
+    g_im = pr * qi - pi * qr + rr * si - ri * sr
+    d_re = pr * sr - pi * si - qr * rr + qi * ri  # p s - q r
+    d_im = pr * si + pi * sr - qr * ri - qi * rr
+    return (
+        -h <= pr * pr + pi * pi + rr * rr + ri * ri - 1.0 <= h
+        and -h <= qr * qr + qi * qi + sr * sr + si * si - 1.0 <= h
+        and g_re * g_re + g_im * g_im <= h * h
+        and (1.0 - h) * (1.0 - h) <= d_re * d_re + d_im * d_im <= (1.0 + h) * (1.0 + h)
+    )
 
 
 def _expm_pair(p: PauliCoeffs, dt, out=None) -> np.ndarray:

@@ -17,6 +17,7 @@ from cgmagnus import (
     min_fidelity_bruteforce,
     trajectory,
 )
+from cgmagnus.fidelity import _bloch_grid
 from cgmagnus.pauli import ID2
 
 from conftest import random_unitary
@@ -123,6 +124,40 @@ def test_bruteforce_minimizer_on_equator():
     i_min = np.unravel_index(vals.argmin(), vals.shape)[0]
     assert theta[i_min] == pytest.approx(math.pi / 2, abs=2 * math.pi / grid_n)
     assert vals.min() == pytest.approx(min_fidelity_bruteforce(ID2, v, grid_n), abs=1e-12)
+
+
+def _bruteforce_direct(u, v, grid_n):
+    """The grid minimum as |diag(theta) + c s off(phi)|^2 over the whole grid, term by term."""
+    w = u.conj().T @ v
+    theta = np.linspace(0.0, math.pi, grid_n | 1)
+    phi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    diag = c * c * w[0, 0] + s * s * w[1, 1]
+    off = np.exp(1j * phi) * w[0, 1] + np.exp(-1j * phi) * w[1, 0]
+    re = diag.real[:, None] + (c * s)[:, None] * off.real
+    im = diag.imag[:, None] + (c * s)[:, None] * off.imag
+    return float((re * re + im * im).min())
+
+
+@pytest.mark.parametrize("grid_n", [16, 17, 100, 101])
+def test_bruteforce_rank4_product_matches_direct_grid(rng, grid_n):
+    worst = 0.0
+    for _ in range(50):
+        u, v = random_unitary(rng), random_unitary(rng)
+        worst = max(worst, abs(min_fidelity_bruteforce(u, v, grid_n) - _bruteforce_direct(u, v, grid_n)))
+    assert worst <= 1e-14
+    # A near-identity V, whose minimum is within rounding of 1.
+    v = ID2 * np.exp(0.3j)
+    assert abs(min_fidelity_bruteforce(ID2, v, grid_n) - _bruteforce_direct(ID2, v, grid_n)) <= 1e-14
+
+
+def test_bloch_grid_factors_are_read_only():
+    factors = _bloch_grid(101)
+    assert [f.shape for f in factors] == [(101,), (101,), (101,), (101,)]
+    for f in factors:
+        with pytest.raises(ValueError):
+            f[0] = 0.0
+    assert _bloch_grid(100)[3].shape == (100,)
 
 
 def test_series_identical_hamiltonians():

@@ -91,3 +91,21 @@ def test_propagation_scans_reprojects_and_assembles_in_one_row_pipeline():
     for name in ("_scan", "_reproject", "_pair_matrix"):
         callers = _callers(path, lambda f: isinstance(f, ast.Name) and f.id == name)
         assert [owner for owner in callers if owner != name] == ["_lattice_product"], name
+
+
+def test_one_matrix_unitarity_screen_only_accepts():
+    # The screen only lets a clearly unitary matrix skip the full check: every
+    # defect value and NotUnitary message comes from unitarity_defect.
+    is_screen = lambda f: isinstance(f, ast.Name) and f.id == "_clearly_unitary"
+    callers = [owner for path in sorted(PACKAGE.glob("*.py")) for owner in _callers(path, is_screen)]
+    assert callers == ["_checked_unitary"]
+    tree = ast.parse((PACKAGE / "pauli.py").read_text())
+    screen = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_clearly_unitary")
+    returns = [node.value for node in ast.walk(screen) if isinstance(node, ast.Return)]
+    assert returns and all(
+        isinstance(value, ast.Compare)
+        or (isinstance(value, ast.BoolOp) and all(isinstance(v, ast.Compare) for v in value.values))
+        for value in returns
+    )
+    assert not any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "unitarity_defect"
+                   for node in ast.walk(screen))

@@ -14,8 +14,17 @@ from cgmagnus import (
     decompose,
     expm_pauli,
     min_fidelity,
+    min_fidelity_bruteforce,
 )
-from cgmagnus.pauli import ID2, SIGMA1, SIGMA2, unitarity_defect
+from cgmagnus.pauli import (
+    ID2,
+    SIGMA1,
+    SIGMA2,
+    UNITARITY_TOL,
+    _checked_unitary,
+    _clearly_unitary,
+    unitarity_defect,
+)
 
 from conftest import random_unitary
 
@@ -192,6 +201,85 @@ def test_min_fidelity_rejects_one_defective_matrix_in_a_large_stack(rng):
     assert 0.9e-11 < unitarity_defect(u[2718]) < 1.1e-11
     with pytest.raises(NotUnitary):
         min_fidelity(u, u[::-1])
+
+
+@pytest.mark.parametrize("big", [1e200, np.inf])
+def test_overflowing_or_infinite_entry_raises_not_unitary_without_a_warning(rng, big):
+    # Under filterwarnings = error a numpy RuntimeWarning used to escape in
+    # place of NotUnitary.
+    single = np.array([[big, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(NotUnitary):
+        Unitary2(single)
+    assert not unitarity_defect(single) <= UNITARITY_TOL
+    stack = np.array([random_unitary(rng) for _ in range(4)])
+    stack[2] = single
+    got = unitarity_defect(stack)
+    assert not got[2] <= UNITARITY_TOL
+    assert (got[[0, 1, 3]] <= UNITARITY_TOL).all()
+    with pytest.raises(NotUnitary):
+        min_fidelity(stack, stack)
+
+
+def _assert_decides_as_unitarity_defect(m):
+    """``_checked_unitary`` and every one-matrix caller accept ``m`` iff its full defect is within tolerance, with its message."""
+    defect = unitarity_defect(m)
+    calls = (
+        lambda: _checked_unitary(m),
+        lambda: Unitary2(m),
+        lambda: min_fidelity(m, ID2),
+        lambda: min_fidelity(ID2, m),
+        lambda: min_fidelity_bruteforce(m, ID2, 16),
+    )
+    if defect <= UNITARITY_TOL:
+        assert _checked_unitary(m) is m
+        for call in calls:
+            call()
+        return True
+    message = f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL}"
+    for call in calls:
+        with pytest.raises(NotUnitary) as info:
+            call()
+        assert str(info.value) == message
+    return False
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize(
+    "bad",
+    [lambda z: complex(np.nan, z.imag), lambda z: complex(z.real, np.nan),
+     lambda z: complex(np.inf, z.imag), lambda z: complex(1e200, z.imag)],
+    ids=["nan_real", "nan_imag", "inf", "1e200"],
+)
+def test_screen_passes_non_finite_and_huge_entries_to_the_full_check(rng, entry, bad):
+    m = random_unitary(rng)
+    m[entry] = bad(m[entry])
+    assert _clearly_unitary(m) is False
+    assert _assert_decides_as_unitarity_defect(m) is False
+
+
+def test_screen_decides_as_the_full_check_near_the_tolerance(rng):
+    # Scaling by 1 + x gives a defect of about 2x: k = 1 ... 20 straddles 1e-12.
+    outcomes = set()
+    for _ in range(5):
+        u = random_unitary(rng)
+        for k in range(1, 21):
+            m = u * (1.0 + k * 1e-13)
+            if _clearly_unitary(m):
+                assert unitarity_defect(m) <= 0.5 * UNITARITY_TOL + 1e-15
+            outcomes.add(_assert_decides_as_unitarity_defect(m))
+    assert outcomes == {True, False}
+
+
+def test_screen_accepts_only_what_the_full_check_accepts(rng):
+    m = _near_unitary_stack(rng, (400,))
+    m[::7] *= 1.0 + 10.0 ** rng.uniform(-14, -11, size=(len(m[::7]), 1, 1))
+    screened = 0
+    for one in m:
+        if _clearly_unitary(one):
+            screened += 1
+            assert unitarity_defect(one) <= 0.5 * UNITARITY_TOL + 1e-15
+        _assert_decides_as_unitarity_defect(one)
+    assert 0 < screened < len(m)
 
 
 def test_coeffs_arithmetic():
