@@ -101,9 +101,10 @@ class ScenarioConfig:
 
 def _read_lines(field: str, path: str) -> list[tuple[int, str]]:
     """The (line number, stripped text) of each line of a UTF-8 file that is
-    neither blank nor a ``#`` comment; a read fault is a ConfigError on ``field``."""
+    neither blank nor a ``#`` comment; a leading byte-order mark is dropped, and
+    a read fault is a ConfigError on ``field``."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             lines = f.readlines()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
         raise ConfigError(f"{field}: cannot read {path!r}: {exc}") from exc

@@ -26,11 +26,13 @@ the identity, at the row's last midpoint, so the generator sees only times
 inside the grid.  Padding at most triples the work, as half the intervals fill
 a row.  The midpoint times are broadcast from the row starts and the column
 offsets, and each chunk calls each time-dependent body and the exponential
-once.  A pairwise tree multiplies along the rows: per chunk down to a width of
-at most _NARROW, and the narrow rest once per scan block of up to _BLOCK rows,
-a whole number of chunks, where each row's product lands in one buffer that
-starts with the identity.  Each block is scanned once after its carry and
-re-projected once.  Interval i is read at stop[i], one past its last row.
+once.  A pairwise tree multiplies each chunk's rows down to one product per
+row, written into one buffer of every row that starts with the identity.
+After the last chunk every static body's rows are filled in closed form and
+every rotating row is turned into the lab frame (below); then the buffer is
+scanned once and re-projected once.  Interval i is read at stop[i], one past
+its last row.  Memory is O(_BLOCK) per chunk plus O(rows): the buffer, the
+row phases and the scan's temporaries, about the buffer's size again.
 
 In the rotating frame the midpoint step at m_k = s + (k + 1/2) d of a row
 starting at s is R(nu m_k) E_k R(-nu m_k) with E_k = exp(-i B(m_k) d), and
@@ -93,19 +95,14 @@ __all__ = [
 # Steps per shortest period 2 pi/(epsilon + omega); the CLI's default too.
 DEFAULT_STEPS_PER_PERIOD = 200
 
-# Padded steps per generator call, and the most rows one scan takes; bounds the
-# chunk memory.  Roundoff in a row's tree grows with log2(w), and one polar
-# projection per scan block keeps the defect far below the 1e-12 Unitary2
-# invariant.  On the step lattice 4096 beat 2048 and 8192 on the dispersive
-# simulate benchmark (22.5 ms a pass in-process against 28.1 and 24.9) and
-# faults no page per pass, where the (2, 8192) complex temporaries of 8192
-# fault about 1,900; resonant_dense, 5 steps a row, runs 8% faster at 8192
-# (12.8 against 13.9 ms; 2-vCPU host, numpy 2.4).
+# Padded steps per generator call, and the widest row: bounds the chunk
+# memory, and roundoff in a row's tree grows with log2(w).  Against 4096 on
+# the one-pass lattice (paired in-process passes of the perfbench workloads,
+# 110 pairs each, 2-vCPU host, numpy 2.4), 2048 was slower on dispersive (+1.2 ms a pass of
+# 10.3), resonant_dense (+0.6 ms) and oracles (+0.8 ms); 8192 was faster on
+# dispersive (-0.9 ms, in 90 of 110 pairs), level on the other two, and
+# faulted 1.5 times the pages of a dispersive pass.
 _BLOCK = 4096
-
-# The row width at which a chunk's pairwise tree stops; the narrower levels,
-# tiny arrays per chunk, run once per scan block.
-_NARROW = 16
 
 
 @dataclass(frozen=True)
@@ -170,9 +167,9 @@ def max_step(p: DriveParams, steps_per_period: int) -> float:
     return 2.0 * math.pi / (p.epsilon + p.omega) / steps_per_period
 
 
-def _tree(m: np.ndarray, width: int) -> np.ndarray:
-    """Pairwise products along the last axis of a pair stack, later steps to the left, until it is at most ``width`` wide."""
-    while m.shape[-1] > width:
+def _tree(m: np.ndarray) -> np.ndarray:
+    """Pairwise products along the last axis of a pair stack, later steps to the left, down to width 1."""
+    while m.shape[-1] > 1:
         pairs = _mul(m[..., 1::2], m[..., :-1:2])
         if m.shape[-1] % 2:
             pairs[..., -1:] = _mul(m[..., -1:], pairs[..., -1:])
@@ -233,51 +230,40 @@ def _lattice_product(frames, edges, steps, out) -> None:
     n = np.minimum(steps[i] - first, w)  # real steps in each row
     col = np.arange(w)
     chunk = _BLOCK // w  # rows per generator call
-    block = _BLOCK - _BLOCK % chunk  # rows per scan: a whole number of chunks
-    narrow = w  # the width each chunk's tree stops at
-    while narrow > _NARROW:
-        narrow //= 2
     ab = np.empty((2, len(frames), total + 1), dtype=complex)  # the identity, then each row's product
     ab[:, :, 0] = [[1.0], [0.0]]
     phi = np.zeros((len(frames), total + 1))  # 0, then the sum of c0 dt over each row
-    lattice = np.empty((2, len(stepped), min(block, total), narrow), dtype=complex)
-    for s0 in range(0, total, block):
-        end = min(s0 + block, total)
-        for s in range(s0, end, chunk) if stepped else ():
-            ik, nk = i[s : s + chunk, None], n[s : s + chunk, None]
-            t = (first[s : s + chunk, None] + 0.5) + np.minimum(col, nk - 1)  # midpoints in steps; pads repeat the last
-            t *= dts[ik]
-            t += edges[ik]
-            dt = np.where(col < nk, dts[ik], 0.0)  # a pad is the identity factor
-            m = np.empty((2, len(stepped)) + t.shape, dtype=complex)
-            for k, j in enumerate(stepped):
-                c = as_coeffs(bodies[j](t))
-                if np.any(c.c0):
-                    phi[j, s + 1 : s + 1 + chunk] = (c.c0 * dt).sum(-1)
-                _expm_pair(c, dt, out=m[:, k])
-            if turns.any():  # R(-nu d) E_k: each pair times e^{i nu d / 2}
-                m *= np.exp(0.5j * turns * dts[ik])
-            lattice[:, :, s - s0 : s - s0 + len(t)] = _tree(m, _NARROW)
-        done = slice(s0 + 1, end + 1)
-        if stepped:
-            ab[:, stepped, done] = _tree(lattice[:, :, : end - s0], 1)[..., 0]
-        ir, nr = i[s0:end], n[s0:end]
-        d = dts[ir]
-        for j in static:  # R(-nu d)^(w - n) (R(-nu d) E)^n in closed form
-            nu, body = rates[j], bodies[j]
-            p = _expm_pair(body, d, out=ab[:, j, done])
-            if nu:
-                p *= np.exp(0.5j * nu * d)
-            _power(p, nr)
-            if nu:
-                p *= np.exp(0.5j * nu * (w - nr) * d)
-            if body.c0:
-                phi[j, done] = body.c0 * nr * d
-        for j in np.flatnonzero(rates):  # each row product into the lab frame
-            ab[0, j, done] *= np.exp(-0.5j * rates[j] * (w * d))
-            ab[1, j, done] *= np.exp(-0.5j * rates[j] * (2.0 * (first[s0:end] * d + edges[ir]) + (w + 1) * d))
-        _scan(ab[:, :, s0 : end + 1])
-        _reproject(ab[:, :, done])
+    for s in range(0, total, chunk) if stepped else ():
+        ik, nk = i[s : s + chunk, None], n[s : s + chunk, None]
+        t = (first[s : s + chunk, None] + 0.5) + np.minimum(col, nk - 1)  # midpoints in steps; pads repeat the last
+        t *= dts[ik]
+        t += edges[ik]
+        dt = np.where(col < nk, dts[ik], 0.0)  # a pad is the identity factor
+        m = np.empty((2, len(stepped)) + t.shape, dtype=complex)
+        for k, j in enumerate(stepped):
+            c = as_coeffs(bodies[j](t))
+            if np.any(c.c0):
+                phi[j, s + 1 : s + 1 + chunk] = (c.c0 * dt).sum(-1)
+            _expm_pair(c, dt, out=m[:, k])
+        if turns.any():  # R(-nu d) E_k: each pair times e^{i nu d / 2}
+            m *= np.exp(0.5j * turns * dts[ik])
+        ab[:, stepped, s + 1 : s + 1 + chunk] = _tree(m)[..., 0]
+    d = dts[i]
+    for j in static:  # R(-nu d)^(w - n) (R(-nu d) E)^n in closed form
+        nu, body = rates[j], bodies[j]
+        p = _expm_pair(body, d, out=ab[:, j, 1:])
+        if nu:
+            p *= np.exp(0.5j * nu * d)
+        _power(p, n)
+        if nu:
+            p *= np.exp(0.5j * nu * (w - n) * d)
+        if body.c0:
+            phi[j, 1:] = body.c0 * n * d
+    for j in np.flatnonzero(rates):  # each row product into the lab frame
+        ab[0, j, 1:] *= np.exp(-0.5j * rates[j] * (w * d))
+        ab[1, j, 1:] *= np.exp(-0.5j * rates[j] * (2.0 * (first * d + edges[i]) + (w + 1) * d))
+    _scan(ab)
+    _reproject(ab)  # the leading identity is a fixed point
     phase = np.exp(-1j * _cumsum(phi)[:, stop])
     for j, g in enumerate(frames):
         _pair_matrix(ab[:, j, stop], phase[j], out=out[g])

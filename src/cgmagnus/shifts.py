@@ -224,7 +224,8 @@ def validate_regime(p: DriveParams, tau: float, kappa: float = 5.0) -> RegimeRep
     Every "much greater/less than" condition becomes ratio >= kappa with a
     configurable threshold (default 5).  Reports only: a failed check is a
     warning, not an error, since probing the limits of the approximation is a
-    legitimate use.  Only a tau that is not finite and > 0 raises ValueError.
+    legitimate use.  Only a tau or kappa that is not finite and > 0 raises
+    ValueError.
 
     The case follows from the drive: resonant if ``p.is_resonant``, else
     dispersive.  Each check states its ``tau_power``: a lower bound on tau
@@ -236,6 +237,8 @@ def validate_regime(p: DriveParams, tau: float, kappa: float = 5.0) -> RegimeRep
     (W/omega)*32^(1/3).
     """
     _check_tau(tau)
+    if not 0 < kappa < math.inf:  # a kappa <= 0 passes every ratio, a nan or inf fails every one
+        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     two_pi = 2.0 * math.pi
     w = p.amplitude
     checks = []
@@ -276,7 +279,7 @@ def regime_window(p: DriveParams, kappa: float = 5.0):
     shrinking one falls to 1; a non-positive, infinite or nan ratio bounds
     nothing, and None means a side has no bound.  ``band`` = (kappa*lo, hi/kappa),
     where every ratio reaches kappa, is None if empty or if a tau-independent
-    ratio is below kappa.
+    ratio is below kappa.  kappa is checked as in :func:`validate_regime`.
     """
     checks = validate_regime(p, 1.0, kappa).checks
     bounded = [c for c in checks if 0 < c.value < math.inf]

@@ -598,6 +598,19 @@ def test_compare_external_passthrough(tmp_path):
     np.testing.assert_allclose(rows[:, -1], values, atol=1e-12)
 
 
+def test_compare_external_reads_a_csv_with_a_byte_order_mark(tmp_path):
+    # A UTF-8 byte-order mark must not become part of the first column name.
+    cfg = write_cfg(tmp_path, samples="9", t_max_periods="2")
+    grid = np.linspace(0.0, 2.0, 9)
+    ext = tmp_path / "ext.csv"
+    values = 0.9 + 0.05 * np.cos(grid)
+    _external_csv(ext, grid, values)
+    ext.write_bytes(b"\xef\xbb\xbf" + ext.read_bytes())
+    out = tmp_path / "merged.csv"
+    assert main(["compare-external", "--config", str(cfg), "--external", str(ext), "--out", str(out)]) == 0
+    np.testing.assert_allclose(read_csv(out)[2][:, -1], values, atol=1e-12)
+
+
 def test_compare_external_constant_column(tmp_path):
     cfg = write_cfg(tmp_path, samples="7", t_max_periods="2")
     ext = tmp_path / "ext.csv"
@@ -761,6 +774,16 @@ def test_simulate_matches_committed_golden(tmp_path, golden):
 
 
 # --- The boundary: every input read, every output written, every json: line ---
+
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # A UTF-8 byte-order mark must not become part of the first key.
+    cfg = write_cfg(tmp_path)
+    plain = load_config(str(cfg))
+    cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    assert load_config(str(cfg)) == plain
+    assert main(["regime", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
 
 NOT_UTF8 = b"\xff\xfe\x00bad"
 COMMANDS = ["simulate", "regime", "shifts", "compare-external"]

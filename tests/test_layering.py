@@ -91,6 +91,15 @@ def test_propagation_scans_reprojects_and_assembles_in_one_row_pipeline():
     for name in ("_scan", "_reproject", "_pair_matrix"):
         callers = _callers(path, lambda f: isinstance(f, ast.Name) and f.id == name)
         assert [owner for owner in callers if owner != name] == ["_lattice_product"], name
+    # One scan and one re-projection over all rows: no block loop with a carry.
+    lattice = next(node for node in ast.parse(path.read_text()).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_lattice_product")
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    looped = {id(node) for loop in ast.walk(lattice) if isinstance(loop, loops) for node in ast.walk(loop)}
+    for name in ("_scan", "_reproject"):
+        calls = [node for node in ast.walk(lattice) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == name]
+        assert [id(call) in looped for call in calls] == [False], name
 
 
 def test_one_matrix_unitarity_screen_only_accepts():

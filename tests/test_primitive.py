@@ -1,4 +1,4 @@
-"""The batched propagation primitive pinned against step-by-step scalar references."""
+"""The batched propagation primitive pinned against step-by-step scalar references and reference-free identities."""
 import math
 
 import numpy as np
@@ -106,7 +106,7 @@ def test_padded_columns_stay_inside_the_interval():
 
 def test_trajectory_carry_crosses_scan_blocks():
     # One step per interval makes every row one step wide, so _BLOCK + 300
-    # intervals take two chunks and two scans, with the carry between them.
+    # intervals take two chunks, whose rows the one scan runs across.
     h = lambda t: h_interaction(t, DISPERSIVE)
     dt = 0.01
     gaps = np.random.default_rng(5).uniform(0.3, 1.0, _BLOCK + 300) * dt
@@ -142,7 +142,7 @@ def test_trajectory_full_rows_over_several_chunks_match_chained_propagate():
 
 
 def test_dispersive_benchmark_trajectories_stay_unitary():
-    # One polar projection per scan block keeps every interval end of the
+    # One polar projection after the scan keeps every interval end of the
     # simulate benchmark grids, dispersive and resonant_dense, within 1e-14
     # of unitary (6.7e-16 measured on dispersive).
     for cfg in (
@@ -254,6 +254,68 @@ def test_mixed_tuple_matches_separate_trajectories(grid):
     assert got.shape == (4, len(ts), 2, 2)
     for h, u in zip(hs, got):
         assert np.abs(u - trajectory(h, ts, dt)).max() <= 1e-15
+
+
+# Generalized parity (Grifoni & Hanggi 1998): for the cos drive with no drive
+# phase, h_lab(t + T/2) = sigma3 h_lab(t) sigma3, and negating the amplitude W
+# is sigma3 conjugation.  Neither identity needs a second integrator, so they
+# pin the lattice's row conventions (the lab-frame rephase, pads, closed-form
+# powers, one scan over more than _BLOCK rows) on their own.  A drive phase
+# phi would shift the half-period identity by phi / omega.
+SIGMA3 = np.diag([1.0, -1.0])
+
+
+def _parity_rows(w):
+    """(generator, rate nu, S) of each lattice row kind at drive amplitude w, omega = 1: every body has B(t + pi) = S B(t) S."""
+    return (
+        # the stepped rotating drive, with a c0 and c3 of period pi
+        (RotatingGenerator(4.0, lambda t: PauliCoeffs(
+            0.3 + 0.1 * np.cos(2.0 * t), w * np.cos(t), 0.4 * w * np.sin(t), -0.2 + 0.1 * np.cos(2.0 * t))), 4.0, SIGMA3),
+        # a static body, as rwa: closed-form rows
+        (RotatingGenerator(3.0, PauliCoeffs(0.2, 0.5 * w, 0.3 * w, -0.1)), 3.0, ID2),
+        # a plain callable, as h_lab at epsilon = 4
+        (lambda t: PauliCoeffs(0.0, w * np.cos(t), 0.0, -2.0), 0.0, SIGMA3),
+    )
+
+
+@pytest.mark.parametrize("grid", ["dispersive", "random", "resonant_dense"])
+def test_negated_drive_is_sigma3_conjugation_on_every_row_kind(grid):
+    # sigma3 h sigma3 negates c1 and c2, so every step pair (a, b) becomes
+    # (a, -b) to the bit, and so does every product, rephase, power and
+    # projection of it.  The random grid pads rows; resonant_dense scans its
+    # 4999 rows, more than _BLOCK, at once.
+    _, ts, dt = _random_grid() if grid == "random" else ROTATING_GRIDS[grid]
+    plus, minus = (tuple(h for h, _, _ in _parity_rows(w)) for w in (0.5, -0.5))
+    got = trajectory(plus + minus, ts, dt)
+    flip = np.array([[1.0, -1.0], [-1.0, 1.0]])  # sigma3 u sigma3, entry by entry
+    for u, v in zip(got[:3], got[3:]):
+        assert np.array_equal(v, u * flip)
+
+
+def _half_period_grid(gaps):
+    """A grid over one period 2 pi whose second half repeats the first shifted by pi, and the index of pi."""
+    if gaps == "random":
+        first = np.concatenate(([0.0], np.sort(np.random.default_rng(29).uniform(0.0, math.pi, 60)), [math.pi]))
+    else:
+        first = np.linspace(0.0, math.pi, gaps // 2 + 1)
+    return np.concatenate((first, math.pi + first[1:])), len(first) - 1
+
+
+@pytest.mark.parametrize("gaps", [200, 8000, "random"])
+def test_half_period_shift_is_generalized_parity_on_every_row_kind(gaps):
+    # B(t + T/2) = S B(t) S makes U(t + T/2, T/2) = F S U(t) S F^dagger, with
+    # F = R(nu T/2) the frame's turn over half a period.  At 200 steps per
+    # shortest period, 200 gaps take 5-step rows, 8000 gaps one-step rows past
+    # _BLOCK, and the random grid padded rows.
+    ts, half = _half_period_grid(gaps)
+    rows = _parity_rows(0.5)
+    got = trajectory(tuple(h for h, _, _ in rows), ts, 2.0 * math.pi / 5.0 / 200)
+    for u, (_, nu, s) in zip(got, rows):
+        f = np.diag(np.exp([-0.5j * nu * math.pi, 0.5j * nu * math.pi]))
+        shifted = u[half:] @ u[half].conj().T
+        assert np.abs(shifted - f @ s @ u[: half + 1] @ s @ f.conj().T).max() <= 1e-14
+    lab = got[2]  # the monodromy from half a period
+    assert np.abs(lab[-1] - np.linalg.matrix_power(SIGMA3 @ lab[half], 2)).max() <= 1e-14
 
 
 def test_trajectory_matches_chained_propagate():

@@ -24,6 +24,7 @@ from cgmagnus import (
     h_rw_interaction,
     min_fidelity,
     propagate,
+    regime_window,
     resonant_splitting,
     stark_shift,
     validate_regime,
@@ -240,6 +241,12 @@ def test_regime_never_raises_and_validates_inputs():
     for tau in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="tau"):
             validate_regime(DISPERSIVE, tau)
+    # kappa as the CLI takes it: 0 < kappa < inf, for both functions
+    for kappa in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="kappa"):
+            validate_regime(DISPERSIVE, 3.0, kappa)
+        with pytest.raises(ValueError, match="kappa"):
+            regime_window(DISPERSIVE, kappa)
 
 
 def test_regime_report_record_mirrors_table():
